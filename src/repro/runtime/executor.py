@@ -23,10 +23,15 @@ the backend:
   fleet-wide per-ISP concurrency never exceeds the cap *exactly as in
   the serial case*.
 
-Worker processes do not receive the (multi-megabyte) world over the
-pipe; they rebuild it from the :class:`~repro.synth.scenario
-.ScenarioConfig`, which is deterministic in the seed, and cache it per
-process so an N-shard run builds the world at most once per worker.
+Worker processes never receive the (multi-megabyte) world over the
+pipe. The process backends seed the per-process world cache with the
+coordinator's world before the pool forks, so forked workers run their
+shards on that same world object and a campaign builds its world once.
+A worker that did not inherit it (a non-fork start method, or a
+distributed ``repro worker`` in a fresh interpreter) rebuilds it from
+the scenario — a :class:`~repro.synth.scenario.ScenarioConfig` or a
+:class:`~repro.synth.churn.WaveScenario`, both deterministic in the
+seed — at most once per worker.
 """
 
 from __future__ import annotations
@@ -247,8 +252,10 @@ class ShardResult:
     politeness: dict[str, int] = field(default_factory=dict)
 
 
-# Per-process world cache for pool workers: rebuilding the world is the
+# Per-process world cache for pool workers: building the world is the
 # expensive part of a shard, and every shard of one campaign shares it.
+# _run_shards_process seeds it with the coordinator's world for the
+# pool's lifetime, so forked workers inherit it instead of rebuilding.
 # Keys are ScenarioConfig or any hashable recipe with a .realize()
 # (repro.synth.churn.WaveScenario — evolved panel-wave worlds).
 _WORLD_CACHE: dict = {}
@@ -361,17 +368,26 @@ def _run_shards_process(
     on_complete,
     scenario,
 ) -> None:
-    with ProcessPoolExecutor(max_workers=config.effective_workers) as pool:
-        futures = [
-            pool.submit(run_shard, scenario, spec, policy,
-                        engine_config, max_replacements,
-                        use_async=config.uses_async,
-                        max_inflight=config.effective_max_inflight,
-                        per_isp_cap=per_isp_cap)
-            for spec in pending
-        ]
-        for future in as_completed(futures):
-            on_complete(future.result())
+    # Workers fork while the cache holds the coordinator's world, so
+    # their _world_for hits; the finally keeps the coordinator from
+    # holding the world past the campaign.
+    _WORLD_CACHE.clear()
+    _WORLD_CACHE[scenario] = world
+    try:
+        with ProcessPoolExecutor(
+                max_workers=config.effective_workers) as pool:
+            futures = [
+                pool.submit(run_shard, scenario, spec, policy,
+                            engine_config, max_replacements,
+                            use_async=config.uses_async,
+                            max_inflight=config.effective_max_inflight,
+                            per_isp_cap=per_isp_cap)
+                for spec in pending
+            ]
+            for future in as_completed(futures):
+                on_complete(future.result())
+    finally:
+        _WORLD_CACHE.clear()
 
 
 def dispatch_shards(
@@ -389,10 +405,12 @@ def dispatch_shards(
     The execution core shared by :func:`execute_campaign` and the
     longitudinal delta collector (:mod:`repro.longitudinal.campaign`),
     which runs arbitrary *subsets* of a campaign's cells. ``scenario``
-    is the world recipe shipped to worker processes; it defaults to
-    ``world.config`` and must be overridden (with a
+    is the world recipe shipped to worker processes and the key forked
+    pool workers find ``world`` under; it defaults to ``world.config``
+    and must be overridden (with a
     :class:`~repro.synth.churn.WaveScenario`) when ``world`` is an
-    evolved wave world that its config alone cannot rebuild.
+    evolved wave world that its config alone cannot rebuild, since
+    workers that do not inherit ``world`` rebuild it from the recipe.
 
     ``on_complete`` fires once per finished shard, serialized, in
     completion order.

@@ -5,6 +5,10 @@ serviceability rates and population density across CBGs (Figure 3), and
 explicitly notes the exception (Mississippi). These wrappers return the
 coefficient together with the p-value and sample size so the experiment
 harness can report significance the way the paper discusses it.
+
+``scipy.stats`` is imported on first use, not with the module: it is
+the package's heaviest import, and nothing but these two functions
+needs it, so ``import repro`` stays light and works without scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = ["CorrelationResult", "pearson", "spearman"]
 
@@ -54,15 +57,19 @@ def _validate(xs: Sequence[float], ys: Sequence[float]) -> tuple[np.ndarray, np.
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
     """Pearson product-moment correlation."""
+    from scipy import stats
+
     x, y = _validate(xs, ys)
-    result = _scipy_stats.pearsonr(x, y)
+    result = stats.pearsonr(x, y)
     return CorrelationResult("pearson", float(result.statistic),
                              float(result.pvalue), x.size)
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
     """Spearman rank correlation (robust to the heavy density skew)."""
+    from scipy import stats
+
     x, y = _validate(xs, ys)
-    result = _scipy_stats.spearmanr(x, y)
+    result = stats.spearmanr(x, y)
     return CorrelationResult("spearman", float(result.statistic),
                              float(result.pvalue), x.size)

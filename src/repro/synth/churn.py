@@ -173,14 +173,17 @@ def churned_world(
 class WaveScenario:
     """One panel wave's world, as a rebuildable recipe.
 
-    The runtime's process and distributed backends rebuild worlds from
-    the scenario they are handed (workers never receive the
-    multi-megabyte world object over the pipe). An evolved wave world
-    keeps its base :class:`~repro.synth.scenario.ScenarioConfig`, which
-    alone cannot reproduce it — so this wrapper carries the full
-    recipe: base scenario, churn model, and the horizon in years.
-    :meth:`realize` replays it deterministically; the executor's
-    per-process world cache calls it exactly like ``build_world``.
+    Runtime workers never receive the multi-megabyte world object over
+    the pipe. Forked process-pool workers inherit the coordinator's
+    world; any worker that starts a fresh interpreter (the distributed
+    backend's ``repro worker``, or a pool under a non-fork start
+    method) rebuilds it from the scenario it is handed. An evolved wave
+    world keeps its base :class:`~repro.synth.scenario.ScenarioConfig`,
+    which alone cannot reproduce it — so this wrapper carries the full
+    recipe: base scenario, churn model, and the horizon in years. It is
+    also the key the inherited world is cached under. :meth:`realize`
+    replays it deterministically; the executor's per-process world
+    cache calls it exactly like ``build_world``.
     """
 
     base: ScenarioConfig

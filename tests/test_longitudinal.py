@@ -5,8 +5,8 @@ re-collection, byte for byte) live in tests/test_equivalence_harness.py
 with the backend matrix; this file covers the subsystem's own
 mechanics: digest stability, delta planning, fold/merge conservation,
 wave resume (checkpoints and the panel store), the wave-scenario
-recipe workers rebuild evolved worlds from, and the persisted autotune
-plan.
+recipe fresh-interpreter workers rebuild evolved worlds from, and the
+persisted autotune plan.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.longitudinal import (
     compute_wave_digests,
     diff_digests,
 )
-from repro.runtime import RuntimeConfig
+from repro.runtime import RuntimeConfig, execute_campaign
 from repro.runtime.distributed import (
     _scenario_from_json,
     autotune_runtime_config,
@@ -465,6 +465,21 @@ class TestWaveScenario:
         assert compute_wave_digests(realized, **SUBSET).q12 == \
             compute_wave_digests(direct, **SUBSET).q12
 
+    def test_realized_world_reproduces_the_wave_campaign(
+            self, world, tiny_config, monkeypatch):
+        """The executor's cache-miss path — what a worker in a fresh
+        interpreter runs — realizes the recipe into a world whose
+        campaign is byte-equal to the evolved wave world's."""
+        scenario = WaveScenario(base=tiny_config, years=2, model=SPARSE)
+        monkeypatch.setattr(executor_module, "_WORLD_CACHE", {})
+        realized = executor_module._world_for(scenario)
+        evolved = churned_world(world, years=2, model=SPARSE)
+        config = RuntimeConfig(shards=2, backend="serial")
+        assert canonical_logbook_bytes(
+            *execute_campaign(realized, config, **SUBSET)) == \
+            canonical_logbook_bytes(
+                *execute_campaign(evolved, config, **SUBSET))
+
     def test_wire_codec_roundtrip(self, tiny_config):
         scenario = WaveScenario(base=tiny_config, years=3,
                                 model=ChurnModel(cell_rate=0.25))
@@ -490,9 +505,10 @@ class TestWaveScenario:
 
 class TestProcessBackendRealizesWaves:
     def test_process_delta_matches_serial(self, world):
-        """Process-pool workers rebuild the evolved wave world from the
-        WaveScenario recipe — their records must match the in-process
-        serial path byte for byte."""
+        """Process-pool workers inherit the coordinator's evolved wave
+        world — their records must match the in-process serial path
+        byte for byte. (Workers in a fresh interpreter realize the
+        WaveScenario recipe instead; TestWaveScenario covers that.)"""
         serial = PanelCampaign(world, model=SPARSE, horizons=(1,),
                                **SUBSET).run()
         pooled = PanelCampaign(

@@ -1,6 +1,10 @@
 """Packaging smoke tests: the public surface a release promises."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,3 +42,21 @@ class TestPublicSurface:
 
     def test_main_module_exists(self):
         assert importlib.util.find_spec("repro.__main__") is not None
+
+
+class TestImportFootprint:
+    def test_import_leaves_scipy_unloaded(self):
+        """scipy is the heaviest dependency and only the correlation
+        statistics use it; ``import repro`` must not load it."""
+        import repro
+
+        source_root = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(source_root), env.get("PYTHONPATH")]))
+        probe = ("import sys, repro; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+        loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert loaded.stdout.strip() == "[]", loaded.stdout

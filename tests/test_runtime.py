@@ -8,8 +8,13 @@ resume and the audit cache are then tested against that same baseline.
 
 from __future__ import annotations
 
+import multiprocessing
+import sys
+
 import pytest
 
+import repro.runtime.executor as executor_module
+from harness.equivalence import canonical_logbook_bytes
 from repro.bqt.campaign import MAX_POLITE_WORKERS_PER_ISP
 from repro.core.collection import CollectionCampaign, collect_q3_dataset
 from repro.core.pipeline import run_full_audit
@@ -273,6 +278,50 @@ class TestEquivalence:
                 (done, r.index, restored)),
             **SUBSET)
         assert seen == [(1, 0, True), (2, 1, True), (3, 2, True)]
+
+
+@pytest.fixture
+def forked_pool():
+    """Require the fork start method the process backend's world reuse
+    rides on. On Linux it is the default, and a default that stops
+    forking must fail these tests, not skip them."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("pool workers inherit the world only under fork")
+    assert multiprocessing.get_context().get_start_method() == "fork"
+
+
+class TestProcessWorkersInheritWorld:
+    """A process-pool campaign builds its world once, in the
+    coordinator: forked workers run their shards on that world."""
+
+    def test_workers_never_rebuild_the_world(self, world, forked_pool,
+                                             monkeypatch):
+        serial = execute_campaign(
+            world, RuntimeConfig(shards=2, backend="serial"), **SUBSET)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pool worker rebuilt the world")
+
+        # Forked workers inherit the patch: any rebuild fails a shard.
+        monkeypatch.setattr(executor_module, "build_world", forbidden)
+        pooled = execute_campaign(
+            world, RuntimeConfig(backend="process", shards=2, workers=2),
+            **SUBSET)
+        assert canonical_logbook_bytes(*pooled) == \
+            canonical_logbook_bytes(*serial)
+        assert executor_module._WORLD_CACHE == {}
+
+    def test_failed_campaign_releases_the_world(self, world, forked_pool,
+                                                monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("shard failed")
+
+        monkeypatch.setattr(executor_module, "run_q12_cell", broken)
+        with pytest.raises(RuntimeError, match="shard failed"):
+            execute_campaign(
+                world, RuntimeConfig(backend="process", shards=2, workers=2),
+                **SUBSET)
+        assert executor_module._WORLD_CACHE == {}
 
 
 class TestCheckpointResume:

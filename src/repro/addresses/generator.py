@@ -79,8 +79,8 @@ class AddressGenerator:
             house_number = int(rng.integers(1, 9900))
             lon = block.centroid.longitude + float(rng.normal(0, 0.002))
             lat = block.centroid.latitude + float(rng.normal(0, 0.002))
-            lon = float(np.clip(lon, -180.0, 180.0))
-            lat = float(np.clip(lat, -90.0, 90.0))
+            lon = min(max(lon, -180.0), 180.0)
+            lat = min(max(lat, -90.0), 90.0)
             addresses.append(
                 StreetAddress(
                     address_id=f"{namespace}-{block.geoid}-{index:05d}",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from repro.bqt.responses import PageKind, QueryStatus, WebsiteResponse
 from repro.bqt.websites import CenturyLinkWebsite, IspWebsite
 from repro.isp.registry import isp_by_id
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.stats.distributions import stable_rng
+from repro.stats.distributions import SeedWords, stable_rng, stable_seed_sequences
 
 __all__ = ["EngineConfig", "BqtEngine", "QuerySession"]
 
@@ -108,8 +109,10 @@ class QuerySession:
     def __init__(self, engine: "BqtEngine", address: StreetAddress):
         self._engine = engine
         self._address = address
-        self._rng = stable_rng(
-            engine._seed, "engine", engine.isp_id, address.address_id)
+        seq = engine._session_seeds.get(address.address_id)
+        self._rng = (
+            stable_rng(*engine._session_key(address.address_id)) if seq is None
+            else np.random.Generator(np.random.PCG64(seq)))
         self._attempt = 0
         self._elapsed = 0.0
         self._record: QueryRecord | None = None
@@ -204,6 +207,8 @@ class BqtEngine:
         self._config = config or EngineConfig()
         self._seed = seed
         self._info = isp_by_id(website.isp_id)
+        # address_id → the seed words of its session stream (see prime).
+        self._session_seeds: dict[str, SeedWords] = {}
 
     @property
     def isp_id(self) -> str:
@@ -214,6 +219,25 @@ class BqtEngine:
     def proxy_pool(self) -> ProxyPool:
         """The proxy pool in use."""
         return self._pool
+
+    def _session_key(self, address_id: str) -> tuple:
+        return (self._seed, "engine", self.isp_id, address_id)
+
+    def prime(self, addresses: Iterable[StreetAddress]) -> None:
+        """Seed the streams of a cell's sessions in one batch.
+
+        Precomputes the seed words of each address's session stream,
+        and, on an :class:`IspWebsite`, the cell's one-shot address
+        rolls (:meth:`IspWebsite.prime`). Records are unchanged: a
+        session or roll the cell did not prime derives its stream
+        through :func:`stable_rng` as before.
+        """
+        addresses = list(addresses)
+        ids = [address.address_id for address in addresses]
+        self._session_seeds = dict(zip(ids, stable_seed_sequences(
+            self._session_key(address_id) for address_id in ids)))
+        if isinstance(self._website, IspWebsite):
+            self._website.prime(addresses)
 
     # ------------------------------------------------------------------
     def _draw_query_seconds(self, rng: np.random.Generator) -> float:

@@ -13,6 +13,7 @@ the engine to a fresh endpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.stats.distributions import stable_rng
 
@@ -46,6 +47,17 @@ class ProxyEndpoint:
         return 0.3 * self.suspicion
 
 
+@lru_cache(maxsize=64)
+def _endpoint_kinds(
+    seed: int, size: int, residential_fraction: float
+) -> tuple[str, ...]:
+    """Each endpoint's kind: a pure function of the pool's parameters,
+    so the fresh pool of every cell's engine reuses one draw."""
+    rng = stable_rng(seed, "proxy-pool")
+    return tuple("residential" if rng.random() < residential_fraction
+                 else "datacenter" for _ in range(size))
+
+
 class ProxyPool:
     """A finite pool of endpoints with round-robin-with-reuse rotation."""
 
@@ -55,14 +67,10 @@ class ProxyPool:
             raise ValueError("pool size must be positive")
         if not 0.0 <= residential_fraction <= 1.0:
             raise ValueError("residential_fraction must be in [0, 1]")
-        rng = stable_rng(seed, "proxy-pool")
         self._endpoints = [
-            ProxyEndpoint(
-                endpoint_id=f"ip-{index:04d}",
-                kind=("residential" if rng.random() < residential_fraction
-                      else "datacenter"),
-            )
-            for index in range(size)
+            ProxyEndpoint(endpoint_id=f"ip-{index:04d}", kind=kind)
+            for index, kind in enumerate(
+                _endpoint_kinds(seed, size, residential_fraction))
         ]
         self._cursor = 0
         self.rotations = 0

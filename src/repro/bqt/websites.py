@@ -18,13 +18,14 @@ to Table 2. Failures come in two flavours:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from repro.addresses.models import StreetAddress
 from repro.bqt.responses import PageKind, WebsiteResponse
 from repro.isp.deployment import GroundTruth, ServiceTruth
-from repro.stats.distributions import stable_rng
+from repro.stats.distributions import stable_rng, stable_uniforms
 
 __all__ = ["IspWebsite", "build_website"]
 
@@ -72,14 +73,58 @@ class IspWebsite:
         self._truth = ground_truth
         self._rates = rates
         self._seed = seed
+        # (purpose, address_id) → roll, for the cell being queried.
+        self._rolls: dict[tuple[str, str], float] = {}
+
+    # The roll memo caches pure functions of its keys: a pickled
+    # storefront carries none of it, and loads with an empty one.
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_rolls"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _rolls={})
 
     # ------------------------------------------------------------------
     # Deterministic per-address properties
     # ------------------------------------------------------------------
     def _address_roll(self, address: StreetAddress, purpose: str) -> float:
         """A stable uniform draw for one (address, purpose) pair."""
-        rng = stable_rng(self._seed, "site", self.isp_id, purpose, address.address_id)
-        return float(rng.random())
+        key = (purpose, address.address_id)
+        roll = self._rolls.get(key)
+        if roll is None:
+            roll = self._rolls[key] = float(stable_rng(*self._roll_key(*key)).random())
+        return roll
+
+    def _roll_key(self, purpose: str, address_id: str) -> tuple:
+        return (self._seed, "site", self.isp_id, purpose, address_id)
+
+    def _roll_purposes(self, truth: ServiceTruth) -> list[str]:
+        """The rolls :meth:`respond` can reach for an address with ``truth``."""
+        purposes = ["dropdown"]
+        if self._rates.persistent_human_verification:
+            purposes.append("phv")
+        if self._rates.persistent_error:
+            purposes.append("perr")
+        if truth.serves:
+            purposes.append("call")
+        elif self._rates.address_not_found_if_unserved:
+            purposes.append("nf")
+        return purposes
+
+    def prime(self, addresses: Iterable[StreetAddress]) -> None:
+        """Start a cell: replace the roll memo with the rolls of the
+        cell's ``addresses``, computed in one batch.
+
+        The memo only ever holds values :meth:`_address_roll` would
+        compute itself, so a cell that finds its rolls replaced by a
+        concurrent cell's merely recomputes them.
+        """
+        keys = [(purpose, address.address_id)
+                for address in addresses
+                for purpose in self._roll_purposes(
+                    self._truth.truth_for(self.isp_id, address.address_id))]
+        self._rolls = dict(zip(keys, stable_uniforms(
+            self._roll_key(*key) for key in keys)))
 
     def has_persistent_dropdown_miss(self, address: StreetAddress) -> bool:
         """Whether this address never resolves in the dropdown."""
@@ -146,6 +191,12 @@ class CenturyLinkWebsite(IspWebsite):
     """
 
     BRIGHTSPEED_SHARE = 0.35
+
+    def _roll_purposes(self, truth: ServiceTruth) -> list[str]:
+        purposes = super()._roll_purposes(truth)
+        if truth.serves:
+            purposes.append("bspd")
+        return purposes
 
     def _respond_from_truth(
         self, address: StreetAddress, truth: ServiceTruth

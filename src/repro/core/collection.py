@@ -161,11 +161,13 @@ def q12_cell_setup(
 
     Single-sourced (like :func:`q12_query_sequence`) so the blocking
     and asyncio drivers cannot drift in how a cell's engine is seeded
-    or its sample planned.
+    or its sample planned. The engine is primed for the plan's selected
+    addresses; reserve draws derive their streams on demand.
     """
     policy = policy or SamplingPolicy()
     engine = world.engine_for(isp_id, engine_config)
     plan = plan_cbg_sample(cbg, addresses, policy, seed=world.config.seed)
+    engine.prime(plan.selected)
     return engine, plan
 
 
@@ -337,6 +339,9 @@ def q3_block_setup(
         "cable": (world.engine_for(competition.cable_isp_id, engine_config)
                   if competition.cable_isp_id else None),
     }
+    engines["incumbent"].prime(caf_addresses + non_caf)
+    if engines["cable"] is not None:
+        engines["cable"].prime(non_caf)
     return outcome, engines, caf_addresses, non_caf
 
 

@@ -80,10 +80,10 @@ def _jittered_point(
 ) -> Point:
     """Sample a point near ``anchor`` clipped into the state box."""
     bounds = state.bounds
-    lon = float(np.clip(anchor.longitude + rng.normal(0, spread_degrees),
-                        bounds.west, bounds.east))
-    lat = float(np.clip(anchor.latitude + rng.normal(0, spread_degrees),
-                        bounds.south, bounds.north))
+    lon = min(max(anchor.longitude + rng.normal(0, spread_degrees),
+                  bounds.west), bounds.east)
+    lat = min(max(anchor.latitude + rng.normal(0, spread_degrees),
+                  bounds.south), bounds.north)
     return Point(lon, lat)
 
 
@@ -143,12 +143,11 @@ def generate_state_geography(
                 # average) with wide idiosyncratic spread, so income and
                 # density are correlated but distinguishable — the
                 # structure the equity analysis needs.
-                income = float(np.clip(
+                income = min(max(
                     30_000.0
-                    + 9_000.0 * np.log10(max(density, 1.0))
+                    + 9_000.0 * float(np.log10(max(density, 1.0)))
                     + rng.normal(0.0, 12_000.0),
-                    18_000.0, 180_000.0,
-                ))
+                    18_000.0), 180_000.0)
                 block_groups.append(
                     BlockGroup(
                         geoid=bg_geoid,

@@ -19,13 +19,15 @@ decoupled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from repro.addresses.models import StreetAddress
 from repro.geo.entities import BlockGroup
 from repro.isp.plans import BroadbandPlan, UNSERVED_LABEL
 from repro.isp.profiles import IspProfile
-from repro.stats.distributions import stable_rng
+from repro.stats.distributions import stable_rng, stable_rngs
 
 __all__ = ["ServiceTruth", "GroundTruth", "build_ground_truth"]
 
@@ -91,18 +93,33 @@ class GroundTruth:
         return self._truths.keys()
 
 
+def _truth_key(seed: int, isp_id: str, address: StreetAddress) -> tuple:
+    """The :func:`stable_rng` key of one address's truth stream."""
+    return (seed, "truth", isp_id, address.address_id)
+
+
+def truth_rngs(
+    seed: int, isp_id: str, addresses: Iterable[StreetAddress]
+) -> Iterator[np.random.Generator]:
+    """The truth streams of one ISP's addresses, seeded in batches."""
+    return stable_rngs(_truth_key(seed, isp_id, address) for address in addresses)
+
+
 def sample_service_truth(
     profile: IspProfile,
     address: StreetAddress,
     block_group: BlockGroup,
     seed: int,
+    rng: np.random.Generator | None = None,
 ) -> ServiceTruth:
     """Draw one address's truth from an ISP profile.
 
     Deterministic per (seed, isp, address): re-running the world builder
-    yields the same truth regardless of call order.
+    yields the same truth regardless of call order. ``rng``, when given,
+    must be that key's stream (:func:`truth_rngs` batches them).
     """
-    rng = stable_rng(seed, "truth", profile.isp_id, address.address_id)
+    if rng is None:
+        rng = stable_rng(*_truth_key(seed, profile.isp_id, address))
     probability = profile.serviceability_probability(
         address.state_abbreviation, block_group.population_density
     )
@@ -141,7 +158,7 @@ def build_ground_truth(
     truth = GroundTruth()
     for isp_id, addresses in certified.items():
         profile = profiles[isp_id]
-        for address in addresses:
+        for address, rng in zip(addresses, truth_rngs(seed, isp_id, addresses)):
             block_group = block_groups.get(address.block_group_geoid)
             if block_group is None:
                 raise KeyError(
@@ -151,6 +168,6 @@ def build_ground_truth(
             truth.set_truth(
                 isp_id,
                 address.address_id,
-                sample_service_truth(profile, address, block_group, seed),
+                sample_service_truth(profile, address, block_group, seed, rng),
             )
     return truth

@@ -13,6 +13,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.asthelpers import call_name, is_unordered
+from repro.lint.facts import NP_BIT_GENERATORS, UNSEEDED_RNG_SUFFIXES
 from repro.lint.model import Finding, ModuleContext, rule
 
 # random-module functions that consume the hidden global RNG. Calling
@@ -25,10 +26,10 @@ _GLOBAL_RANDOM_FNS = frozenset({
     "weibullvariate", "lognormvariate", "getrandbits", "random_sample",
 })
 # numpy.random legacy global-state functions (np.random.<fn>). The
-# seedable object API (default_rng / Generator / SeedSequence /
-# Random) is handled separately.
+# seedable object API (default_rng / Generator / SeedSequence / the
+# bit generators / Random) is handled separately.
 _NP_OBJECT_API = frozenset({"default_rng", "Generator", "SeedSequence",
-                            "RandomState", "bit_generator"})
+                            "RandomState", "bit_generator"}) | NP_BIT_GENERATORS
 
 
 @rule(
@@ -46,8 +47,9 @@ def det101_unseeded_rng(ctx: ModuleContext) -> Iterator[Finding]:
         if not name:
             continue
         parts = name.split(".")
-        # random.Random() / np.random.default_rng() with no seed.
-        if parts[-1] in ("Random", "default_rng", "RandomState") \
+        # random.Random() / np.random.default_rng() / np.random.PCG64()
+        # with no seed.
+        if parts[-1] in UNSEEDED_RNG_SUFFIXES \
                 and not node.args and not node.keywords:
             yield ctx.finding(
                 "DET101", node,

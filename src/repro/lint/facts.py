@@ -31,7 +31,8 @@ __all__ = [
     "CallSite", "SiteList", "FunctionFacts", "AttributeWrite",
     "ClassFacts", "ModuleFacts", "extract_facts",
     "facts_to_json", "facts_from_json",
-    "WALL_CLOCK_CALLS", "UNSEEDED_RNG_SUFFIXES", "ENV_READ_CALLS",
+    "WALL_CLOCK_CALLS", "NP_BIT_GENERATORS", "UNSEEDED_RNG_SUFFIXES",
+    "ENV_READ_CALLS",
     "LOCK_TYPES",
 ]
 
@@ -42,9 +43,14 @@ WALL_CLOCK_CALLS = frozenset({
     ("datetime", "now"), ("datetime", "utcnow"), ("date", "today"),
 })
 
+# numpy's bit-generator constructors: explicit state when seeded (not
+# legacy global state), OS entropy when called without a seed.
+NP_BIT_GENERATORS = frozenset({"PCG64", "PCG64DXSM", "Philox", "SFC64",
+                               "MT19937"})
 # Call-name suffixes that consume ambient/unseeded randomness when the
 # call has no arguments — shared vocabulary with DET101.
-UNSEEDED_RNG_SUFFIXES = frozenset({"Random", "default_rng", "RandomState"})
+UNSEEDED_RNG_SUFFIXES = frozenset({"Random", "default_rng",
+                                   "RandomState"}) | NP_BIT_GENERATORS
 _GLOBAL_RANDOM_FNS = frozenset({
     "random", "randint", "randrange", "uniform", "choice", "choices",
     "shuffle", "sample", "gauss", "getrandbits",

@@ -39,7 +39,7 @@ from repro.bqt.websites import build_website
 from repro.isp.deployment import GroundTruth, ServiceTruth
 from repro.isp.plans import BroadbandPlan
 from repro.isp.profiles import profile_for
-from repro.stats.distributions import stable_rng
+from repro.stats.distributions import stable_rngs, stable_uniforms
 from repro.synth.scenario import ScenarioConfig
 from repro.synth.world import World, build_world
 
@@ -99,28 +99,37 @@ def _address_cbg(world: World, address_id: str) -> str:
 def _evolve_truth(
     world: World, model: ChurnModel, years: int, seed: int
 ) -> GroundTruth:
+    every_year = list(range(years))
+    # (isp, cbg) → the years that cell churned. One stable draw per
+    # (isp, cbg, year), shared by every address in the cell — the
+    # spatial correlation that keeps unchanged cells byte-stable across
+    # waves.
+    cell_years: dict[tuple[str, str], list[int]] = {}
+    if model.cell_rate < 1.0:
+        cell_years = {(isp_id, _address_cbg(world, address_id)): []
+                      for isp_id, address_id in world.ground_truth.pairs()}
+        keys = [(cell, year) for cell in cell_years for year in every_year]
+        rolls = stable_uniforms((seed, "churn-cell", *cell, year)
+                                for cell, year in keys)
+        for (cell, year), roll in zip(keys, rolls):
+            if roll < model.cell_rate:
+                cell_years[cell].append(year)
+
+    def schedule():
+        for isp_id, address_id in world.ground_truth.pairs():
+            cell = (isp_id, _address_cbg(world, address_id))
+            yield isp_id, address_id, cell_years.get(cell, every_year)
+
+    # An address that churns in no year never draws, so only the others
+    # open their per-address stream, batched and in schedule order.
+    streams = stable_rngs((seed, "churn", isp_id, address_id)
+                          for isp_id, address_id, churn_years in schedule()
+                          if churn_years)
     evolved = GroundTruth()
-    # (isp, cbg, year) → did that cell churn that year. One stable draw
-    # per key, shared by every address in the cell — the spatial
-    # correlation that keeps unchanged cells byte-stable across waves.
-    cell_active: dict[tuple[str, str, int], bool] = {}
-
-    def active(isp_id: str, cbg: str, year: int) -> bool:
-        if model.cell_rate >= 1.0:
-            return True
-        key = (isp_id, cbg, year)
-        if key not in cell_active:
-            roll = stable_rng(seed, "churn-cell", isp_id, cbg, year).random()
-            cell_active[key] = roll < model.cell_rate
-        return cell_active[key]
-
-    for (isp_id, address_id) in world.ground_truth.pairs():
+    for isp_id, address_id, churn_years in schedule():
         state = world.ground_truth.truth_for(isp_id, address_id)
-        rng = stable_rng(seed, "churn", isp_id, address_id)
-        cbg = _address_cbg(world, address_id)
-        for _year in range(years):
-            if not active(isp_id, cbg, _year):
-                continue
+        rng = next(streams) if churn_years else None
+        for _year in churn_years:
             if state.serves:
                 roll = rng.random()
                 if roll < model.retirement_rate:

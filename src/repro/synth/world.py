@@ -43,6 +43,7 @@ from repro.isp.deployment import (
     GroundTruth,
     ServiceTruth,
     sample_service_truth,
+    truth_rngs,
 )
 from repro.isp.plans import BroadbandPlan
 from repro.isp.profiles import PROFILES, profile_for
@@ -551,11 +552,13 @@ def build_world(config: ScenarioConfig | None = None) -> World:
     truth = GroundTruth()
     for (isp_id, _state), addresses in caf_by_isp_state.items():
         profile = PROFILES[isp_id]
-        for address in addresses:
+        rngs = truth_rngs(config.seed, isp_id, addresses)
+        for address, rng in zip(addresses, rngs):
             block_group = block_groups[address.block_group_geoid]
             truth.set_truth(
                 isp_id, address.address_id,
-                sample_service_truth(profile, address, block_group, config.seed),
+                sample_service_truth(profile, address, block_group,
+                                     config.seed, rng),
             )
 
     # Pass 4: Q3 structure in the Q3 states.

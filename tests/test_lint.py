@@ -113,6 +113,38 @@ def test_project_rule_quiet_on_negative_fixture_dir(rule_id):
     assert scan_paths([target], root=target) == []
 
 
+@pytest.mark.parametrize("call, flagged", [
+    ("np.random.PCG64()", True),
+    ("np.random.PCG64(seed)", False),
+    ("np.random.Philox(key=seed)", False),
+    ("np.random.SFC64(seed)", False),
+    ("np.random.rand()", True),
+])
+def test_det101_numpy_bit_generators(tmp_path, call, flagged):
+    # A seeded bit generator is explicit state, not numpy's legacy
+    # global RNG; unseeded, it draws OS entropy like default_rng().
+    target = tmp_path / "draw.py"
+    target.write_text(f"import numpy as np\n\ndef draw(seed):\n"
+                      f"    return {call}\n", encoding="utf-8")
+    assert [f.rule for f in scan_file(target)] == (["DET101"] if flagged else [])
+
+
+@pytest.mark.parametrize("ctor, rules", [
+    ("np.random.PCG64()  # repro-lint: disable=DET101", {"FLOW602"}),
+    ("np.random.PCG64(7)", set()),
+])
+def test_flow602_agrees_on_numpy_bit_generators(tmp_path, ctor, rules):
+    (tmp_path / "mod.py").write_text(
+        "import hashlib\n\nimport numpy as np\n\n\n"
+        "def draw():\n"
+        f"    bits = {ctor}\n"
+        "    return np.random.Generator(bits).random()\n\n\n"
+        "def fingerprint():\n"
+        "    return hashlib.sha256(str(draw()).encode()).hexdigest()\n",
+        encoding="utf-8")
+    assert {f.rule for f in scan_paths([tmp_path], root=tmp_path)} == rules
+
+
 # ----------------------------------------------------------------------
 # suppressions
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for repro.stats.distributions."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,11 @@ from repro.stats.distributions import (
     bounded_zipf_shares,
     categorical_sample,
     lognormal_sizes,
+    seed_sequence_words,
     stable_rng,
+    stable_rngs,
+    stable_seed_sequences,
+    stable_uniforms,
 )
 
 
@@ -29,6 +35,83 @@ class TestStableRng:
     def test_numeric_and_string_parts_mix(self):
         # Must not raise and must be deterministic.
         assert stable_rng(7, "geo", 3.5).random() == stable_rng(7, "geo", 3.5).random()
+
+
+def _reference_words(seed: int) -> np.ndarray:
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+
+# Keys shaped like the streams the world builder and BQT open, plus
+# mixed part types; 1100 of them span three kernel chunks.
+BATCH_KEYS = ([(130, "engine", "att", f"caf-att-{i:06d}") for i in range(1100)]
+              + [(7, "churn-cell", "frontier", "550251234001", 3),
+                 (0, "geo", 3.5), ("a", "b")])
+
+
+class TestSeedSequenceKernel:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_edge_seeds_match_seed_sequence(self, seed):
+        words = seed_sequence_words(np.array([seed], dtype=np.uint64))
+        assert words.shape == (1, 4)
+        np.testing.assert_array_equal(words[0], _reference_words(seed))
+
+    def test_random_seeds_match_seed_sequence(self):
+        draw = np.random.default_rng(20240917)
+        seeds = np.concatenate([
+            draw.integers(0, 2**64 - 1, size=10_000, dtype=np.uint64,
+                          endpoint=True),
+            draw.integers(0, 2**32, size=500, dtype=np.uint64)])
+        words = seed_sequence_words(seeds)
+        expected = np.array([_reference_words(int(s)) for s in seeds])
+        np.testing.assert_array_equal(words, expected)
+
+    def test_empty_batch(self):
+        assert seed_sequence_words(np.array([], dtype=np.uint64)).shape == (0, 4)
+
+
+class TestBatchedTwins:
+    def test_stable_rngs_state_and_draws_match(self):
+        batched = list(stable_rngs(BATCH_KEYS))
+        assert len(batched) == len(BATCH_KEYS)
+        for key, rng in zip(BATCH_KEYS, batched):
+            reference = stable_rng(*key)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            for draw in (lambda g: g.random(3),
+                         lambda g: g.integers(0, 1000, size=3),
+                         lambda g: g.normal(size=2),
+                         lambda g: g.lognormal(1.0, 0.5),
+                         lambda g: g.dirichlet(np.full(4, 0.6))):
+                np.testing.assert_array_equal(draw(rng), draw(reference))
+
+    def test_stable_rngs_is_lazy_over_keys(self):
+        keys = iter(BATCH_KEYS)
+        first = next(stable_rngs(keys))
+        assert first.random() == stable_rng(*BATCH_KEYS[0]).random()
+        # One chunk was read ahead, not the whole stream.
+        assert len(list(keys)) == len(BATCH_KEYS) - 512
+
+    def test_stable_uniforms_match_scalar_reference(self):
+        values = stable_uniforms(BATCH_KEYS)
+        assert values == [float(stable_rng(*key).random()) for key in BATCH_KEYS]
+        assert all(type(value) is float for value in values)
+
+    def test_seed_sequences_seed_pcg64_like_the_scalar_path(self):
+        for key, seq in zip(BATCH_KEYS[:50], stable_seed_sequences(BATCH_KEYS)):
+            reference = stable_rng(*key).bit_generator.seed_seq
+            assert seq.entropy == reference.entropy
+            np.testing.assert_array_equal(
+                seq.generate_state(4, np.uint64),
+                reference.generate_state(4, np.uint64))
+            # Any other request falls back to the real SeedSequence.
+            np.testing.assert_array_equal(
+                seq.generate_state(3), reference.generate_state(3))
+
+    def test_kernel_built_generator_survives_pickle(self):
+        rng = next(stable_rngs([(5, "pickle", "me")]))
+        rng.random(7)
+        clone = pickle.loads(pickle.dumps(rng))
+        assert clone.bit_generator.state == rng.bit_generator.state
+        np.testing.assert_array_equal(clone.random(5), rng.random(5))
 
 
 class TestBoundedZipfShares:

@@ -44,7 +44,7 @@ from repro.bqt.responses import QueryStatus
 from repro.core.audit import AuditDataset, ComplianceStandard
 from repro.fcc.urban_rate_survey import generate_urban_rate_survey
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.runtime.atomicio import (atomic_write_bytes,
+from repro.runtime.atomicio import (atomic_write_batch,
                                     sweep_stale_tmp_files)
 from repro.runtime.cache import content_digest
 from repro.stats.weighted import weighted_mean
@@ -245,11 +245,15 @@ class WaveRowCache:
 
     In-memory always; give ``directory`` to additionally persist each
     row as one binary column document (``tabular.colio``, format 2)
-    under ``directory/<namespace16>/rows/`` (the atomic-publish idiom
-    every durable store here shares), so a resumed panel's analysis is
-    warm across processes. Format-1 caches — the legacy JSON-per-cell
-    files — remain readable: a lookup falls back to the ``.json`` file
-    when no ``.col`` exists, and the next ``put`` writes format 2.
+    under ``directory/<namespace16>/rows/``, so a resumed panel's
+    analysis is warm across processes. :meth:`put_many` publishes its
+    rows as one group commit (:func:`~repro.runtime.atomicio
+    .atomic_write_batch`: every file fsynced before its rename, one
+    directory barrier per batch), and :func:`wave_analysis` persists a
+    wave's fresh rows that way, in one batch at the end of the wave.
+    Format-1 caches — the legacy JSON-per-cell files — remain
+    readable: a lookup falls back to the ``.json`` file when no
+    ``.col`` exists, and the next ``put`` writes format 2.
     ``namespace`` must digest everything *besides* the cell digest
     that shapes a row — the panel fingerprint (scenario, policy,
     replacement budget) and the compliance standard — or two panels
@@ -312,17 +316,32 @@ class WaveRowCache:
         return True, row
 
     def put(self, kind: str, digest: str, row: dict | None) -> None:
+        self.put_many([(kind, digest, row)])
+
+    def put_many(self, entries) -> None:
+        """Cache ``(kind, digest, row)`` entries: in memory at once,
+        and on disk (when persistent) as one atomic batch."""
+        entries = list(entries)
+        for kind, digest, row in entries:
+            self._remember(kind, digest, row)
+        if self._directory is None or not entries:
+            return
+        self._directory.mkdir(parents=True, exist_ok=True)
+        atomic_write_batch(
+            (self._path_for(kind, digest), self._encode(digest, row))
+            for kind, digest, row in entries)
+
+    def _remember(self, kind: str, digest: str, row: dict | None) -> None:
         self._rows[(kind, digest)] = row
-        if self._directory is not None:
-            self._directory.mkdir(parents=True, exist_ok=True)
-            payload = encode_row_document(row, {
-                "format": CACHE_FILE_FORMAT,
-                "namespace": self._namespace,
-                "digest": digest,
-                # Wrapped so a cached None row checksums cleanly.
-                "row_sha256": content_digest({"row": row}),
-            })
-            atomic_write_bytes(self._path_for(kind, digest), payload)
+
+    def _encode(self, digest: str, row: dict | None) -> bytes:
+        return encode_row_document(row, {
+            "format": CACHE_FILE_FORMAT,
+            "namespace": self._namespace,
+            "digest": digest,
+            # Wrapped so a cached None row checksums cleanly.
+            "row_sha256": content_digest({"row": row}),
+        })
 
     def _load(self, kind: str, digest: str):
         """Load one verified persisted row; damage is a miss.
@@ -469,6 +488,9 @@ def wave_analysis(outcome: "WaveOutcome",
             "(survey-seeded) standard only")
     if standard is None:
         standard = standard_for_seed(outcome.world.config.seed)
+    # Fresh rows join the in-memory cache as they are computed and are
+    # persisted together, as one batch, once the wave is folded.
+    fresh: list[tuple[str, str, dict | None]] = []
     q12_rows: list[dict] = []
     for cell, digest in outcome.digests.q12.items():
         hit, row = (cache.lookup("q12", digest) if cache is not None
@@ -479,7 +501,8 @@ def wave_analysis(outcome: "WaveOutcome",
                 outcome.collection.cbg_totals[(cell.isp_id, cell.cbg)],
                 standard)
             if cache is not None:
-                cache.put("q12", digest, row)
+                cache._remember("q12", digest, row)
+                fresh.append(("q12", digest, row))
         if row is not None:
             q12_rows.append(row)
     q3_rows: list[dict] = []
@@ -489,8 +512,11 @@ def wave_analysis(outcome: "WaveOutcome",
         if not hit:
             row = q3_block_row(outcome.cells.q3_outcomes[block])
             if cache is not None:
-                cache.put("q3", digest, row)
+                cache._remember("q3", digest, row)
+                fresh.append(("q3", digest, row))
         q3_rows.append(row)
+    if cache is not None:
+        cache.put_many(fresh)
     return reduce_rows(q12_rows, q3_rows)
 
 

@@ -19,11 +19,16 @@ Every file is integrity-checked on load — cell payloads carry their
 :func:`~repro.runtime.cache.content_digest`, manifests checksum their
 reference list — and any damage (torn file, missing cell, foreign
 fingerprint, skewed format) makes the wave a miss that recomputes,
-never a crash or a silent wrong replay. Writes use the shared atomic
-tmp-then-rename primitive. Format-1 wave documents (the pre-CAS
-layout, whose ``cells`` payload was embedded as one double-encoded
-JSON string) stay loadable read-only, so an existing panel upgrades
-in place; new waves are always written as format 2.
+never a crash or a silent wrong replay. A wave's new cell files are
+published as one group commit (:func:`~repro.runtime.atomicio
+.atomic_write_batch`: each file fsynced before its rename, one
+directory barrier for the batch) and only then its manifest, with the
+shared atomic tmp-then-rename primitive — so every cell a manifest
+references is durable before the manifest exists. Format-1 wave
+documents (the pre-CAS layout, whose ``cells`` payload was embedded
+as one double-encoded JSON string) stay loadable read-only, so an
+existing panel upgrades in place; new waves are always written as
+format 2.
 
 Cell files can be orphaned — a crash between publishing a wave's CAS
 entries and its manifest, a manifest damaged beyond recognition, or a
@@ -47,11 +52,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.runtime.atomicio import (
-    atomic_write_json,
+    atomic_write_batch,
     atomic_write_text,
     sweep_stale_tmp_files,
 )
-from repro.runtime.cache import content_digest
+from repro.runtime.cache import canonical_json, content_digest
 from repro.runtime.checkpoint import (
     _record_from_json,
     _record_to_json,
@@ -132,22 +137,31 @@ class PanelStore(FingerprintNamespacedStore):
     # saving
     # ------------------------------------------------------------------
 
-    def _publish_cell(self, digest: str, payload: dict) -> bool:
-        """Write one CAS entry unless its digest is already present.
+    def _cell_document(self, digest: str, payload: dict) -> bytes:
+        """One CAS entry's bytes: the canonical JSON of ``{"format",
+        "digest", "payload_sha256", "payload"}``, with the payload
+        encoded once — its canonical form is both what the checksum
+        hashes and what the document embeds."""
+        body = canonical_json(payload)
+        checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        return (f'{{"digest":{json.dumps(digest)},'
+                f'"format":{FORMAT_VERSION},"payload":{body},'
+                f'"payload_sha256":"{checksum}"}}').encode("utf-8")
 
-        Returns whether a file was written — the per-wave write cost
-        is exactly the churned digests.
-        """
-        path = self.cell_path(digest)
-        if path.exists():
-            return False
-        atomic_write_json(path, {
-            "format": FORMAT_VERSION,
-            "digest": digest,
-            "payload_sha256": content_digest(payload),
-            "payload": payload,
-        })
-        return True
+    def _new_cell_documents(self, cells: "ShardResult",
+                            digests: "WaveDigests"):
+        """``(path, document bytes)`` for each of the wave's digests not
+        yet in the CAS, built lazily so a batch holds one chunk."""
+        for cell, digest in digests.q12.items():
+            path = self.cell_path(digest)
+            if not path.exists():
+                yield path, self._cell_document(
+                    digest, _q12_payload(cell, cells.q12_records[cell]))
+        for block, digest in digests.q3.items():
+            path = self.cell_path(digest)
+            if not path.exists():
+                yield path, self._cell_document(
+                    digest, _q3_payload(block, cells.q3_outcomes[block]))
 
     def save_wave(
         self,
@@ -157,20 +171,19 @@ class PanelStore(FingerprintNamespacedStore):
         counts: dict[str, int],
         digests: "WaveDigests",
     ) -> Path:
-        """Publish one completed wave: new CAS entries, then the
-        manifest (atomically) — a crash between the two leaves only
-        unreferenced cell files, which the sweep reclaims."""
+        """Publish one completed wave: its new CAS entries as one
+        atomic batch, then the manifest (atomically) — a crash between
+        the two leaves only unreferenced cell files, which the sweep
+        reclaims.
+
+        Digests whose CAS file already exists are skipped, so the
+        per-wave write cost is exactly the churned digests.
+        """
         self.cells_directory.mkdir(parents=True, exist_ok=True)
-        q12_refs = []
-        for cell, digest in digests.q12.items():
-            self._publish_cell(digest,
-                               _q12_payload(cell, cells.q12_records[cell]))
-            q12_refs.append([cell.isp_id, cell.state, cell.cbg, digest])
-        q3_refs = []
-        for block, digest in digests.q3.items():
-            self._publish_cell(digest,
-                               _q3_payload(block, cells.q3_outcomes[block]))
-            q3_refs.append([block, digest])
+        atomic_write_batch(self._new_cell_documents(cells, digests))
+        q12_refs = [[cell.isp_id, cell.state, cell.cbg, digest]
+                    for cell, digest in digests.q12.items()]
+        q3_refs = [[block, digest] for block, digest in digests.q3.items()]
         refs = {"q12": q12_refs, "q3": q3_refs}
         document = {
             "format": FORMAT_VERSION,
@@ -205,7 +218,7 @@ class PanelStore(FingerprintNamespacedStore):
         """One verified CAS payload, or ``None`` on any damage.
 
         A *present but damaged* entry is quarantined (unlinked) before
-        returning the miss: ``_publish_cell`` skips digests whose file
+        returning the miss: ``save_wave`` skips digests whose file
         exists, so without the unlink a corrupted referenced entry
         would survive every recompute and force the wave to re-collect
         on every later resume, forever. Unlinking makes the usual

@@ -46,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "AuditCache",
     "audit_digest",
+    "canonical_json",
     "content_digest",
     "world_digest",
     "cache_dir_from_environment",
@@ -64,6 +65,15 @@ _PICKLE_LOAD_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
                        ImportError, OSError)
 
 
+def canonical_json(payload) -> str:
+    """A payload's canonical JSON form: sorted keys, no whitespace.
+
+    The bytes :func:`content_digest` hashes; a store that also writes
+    them (the panel store's CAS cells) encodes each payload once.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def content_digest(payload: dict) -> str:
     """SHA-256 of a payload's canonical JSON form.
 
@@ -73,8 +83,7 @@ def content_digest(payload: dict) -> str:
     drift between stores — a digest written by one and compared by
     another would silently stop matching — so it lives only here.
     """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def audit_digest(

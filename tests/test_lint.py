@@ -4,6 +4,7 @@ workflow, CLI, and the self-scan that keeps ``src/`` clean."""
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,24 @@ def test_flow602_agrees_on_numpy_bit_generators(tmp_path, ctor, rules):
         "    return hashlib.sha256(str(draw()).encode()).hexdigest()\n",
         encoding="utf-8")
     assert {f.rule for f in scan_paths([tmp_path], root=tmp_path)} == rules
+
+
+def test_flow601_sees_the_batch_writer(tmp_path):
+    # The positive fixture's shape with the group-commit writer as the
+    # sink: the clock still hides in an allowlisted obs/ helper, and a
+    # batch is as durable as a single atomic publish.
+    shutil.copytree(FIXTURES / "flow601_pos" / "obs", tmp_path / "obs")
+    (tmp_path / "sink.py").write_text(
+        "from obs.stamps import fresh_stamp\n\n"
+        "from repro.runtime.atomicio import atomic_write_batch\n\n\n"
+        "def publish(path):\n"
+        "    stamp = fresh_stamp()\n"
+        "    atomic_write_batch([(path, repr(stamp).encode())])\n",
+        encoding="utf-8")
+    findings = scan_paths([tmp_path], root=tmp_path)
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("FLOW601", "sink.py", 8)]
+    assert "atomic_write_batch()" in findings[0].message
 
 
 # ----------------------------------------------------------------------

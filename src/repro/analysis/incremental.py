@@ -35,6 +35,7 @@ persisted before the format change stay warm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -83,10 +84,14 @@ _NAMESPACE_DIGITS = 16
 _MISS = object()
 
 
+@lru_cache(maxsize=8)
 def standard_for_seed(seed: int) -> ComplianceStandard:
     """The wave compliance standard: the urban-rate-survey benchmark
     generated from the world seed — constant across a panel's waves,
-    since churned worlds share the snapshot's scenario."""
+    since churned worlds share the snapshot's scenario. Memoized per
+    seed, so a panel generates its survey once: the standard is frozen
+    and :class:`~repro.fcc.urban_rate_survey.UrbanRateSurvey` has no
+    mutator, so every wave can share the one object."""
     return ComplianceStandard(survey=generate_urban_rate_survey(seed=seed))
 
 

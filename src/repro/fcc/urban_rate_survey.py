@@ -47,11 +47,15 @@ class UrbanRateSurvey:
     """A bucketed survey with the FCC two-sigma benchmark per tier."""
 
     def __init__(self, observations: list[SurveyObservation]):
+        observations = list(observations)
         if not observations:
             raise ValueError("survey needs at least one observation")
-        self._observations = list(observations)
+        # Only the per-tier prices are kept: a survey lives as long as
+        # the compliance standard built on it, and the benchmark needs
+        # nothing else.
+        self._size = len(observations)
         self._by_tier: dict[float, list[float]] = {tier: [] for tier in SURVEY_TIERS}
-        for obs in self._observations:
+        for obs in observations:
             self._by_tier[self.tier_for(obs.download_mbps)].append(
                 obs.monthly_price_usd
             )
@@ -66,7 +70,7 @@ class UrbanRateSurvey:
         return SURVEY_TIERS[max(index, 0)]
 
     def __len__(self) -> int:
-        return len(self._observations)
+        return self._size
 
     def tier_prices(self, tier: float) -> list[float]:
         """All observed prices in a tier."""

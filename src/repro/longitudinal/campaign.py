@@ -11,7 +11,11 @@ classic multi-year measurement studies. Each wave:
 2. **plans a delta**: every (ISP, CBG) cell and Q3 block is digested
    (:mod:`repro.longitudinal.digests`) and diffed against the prior
    wave — unchanged cells will be *replayed* from the prior wave's
-   per-cell logbook, changed cells re-queried;
+   per-cell logbook, changed cells re-queried. Digesting is itself
+   O(churn): a cell whose truth objects are all the prior wave's (and
+   whose world parts churn shared) carries the prior digest forward
+   unencoded — sound because the truth objects are frozen — so only
+   cells churn touched are encoded and hashed;
 3. **executes** the changed cells through the ordinary runtime
    dispatcher (:func:`repro.runtime.executor.dispatch_shards` — every
    backend: serial, process, async, distributed; per-wave shard
@@ -248,15 +252,20 @@ class PanelCampaign:
                                       model=self._model)
         evolved_at = time.perf_counter()
         with span("wave.digest", wave=wave):
+            prior_digests = prior.digests if prior else None
             digests = compute_wave_digests(world, isps=self._isps,
                                            states=self._states,
-                                           q3_states=self._q3_states)
-            delta = diff_digests(prior.digests if prior else None, digests)
+                                           q3_states=self._q3_states,
+                                           prior=prior_digests)
+            delta = diff_digests(prior_digests, digests)
         digested_at = time.perf_counter()
         changed = len(delta.changed_q12) + len(delta.changed_q3)
         _METRICS.counter("panel_cells_changed_total").inc(changed)
         _METRICS.counter("panel_cells_replayed_total").inc(
             (delta.total_q12 + delta.total_q3) - changed)
+        _METRICS.counter("panel_digests_reused_total").inc(digests.reused)
+        _METRICS.counter("panel_digests_computed_total").inc(
+            digests.computed)
 
         restored = None
         if self._store is not None and self._resume:

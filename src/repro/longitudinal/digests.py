@@ -19,17 +19,43 @@ redundant re-query, never a stale replay.
 Serialization reuses the checkpoint codec's plan JSON, whose floats
 round-trip by shortest ``repr`` — so digest equality really is truth
 equality.
+
+**Carry-forward.** Encoding and hashing every cell each wave would make
+the delta planner O(world) even when churn touched a handful of cells.
+:func:`compute_wave_digests` therefore takes the prior wave's
+:class:`WaveDigests`, which remembers, per cell, the tuple of
+:class:`~repro.isp.deployment.ServiceTruth` objects its payload read. A
+cell keeps the prior digest, without re-encoding, only when
+
+* the world's static parts (``_STATIC_PARTS``: scenario config,
+  certified addresses, HUBB filings, Zillow feed, Q3 block
+  classification) are the *same objects* the prior wave read, and the
+  ISP and state subsets are equal — :func:`~repro.synth.churn
+  .churned_world` shares every one of them through ``replace``, so the
+  cell's key and address list are unchanged; and
+* every truth object the cell reads *is* the prior wave's object.
+
+That is sound because ``ServiceTruth`` and ``BroadbandPlan`` are frozen
+and nothing mutates a world's static parts once it is built, so the same
+objects serialize to the same payload, and because the memo holds strong
+references, so an identity can never be a recycled ``id``.
+Every other cell — churned, re-created with equal values, or read
+through a different world — is digested from scratch, so carried
+digests always equal the from-scratch ones. The memo never takes part
+in ``WaveDigests`` equality and is never persisted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 
 from repro.core.collection import q3_block_candidates
 from repro.isp.deployment import ServiceTruth
 from repro.runtime.cache import content_digest
 from repro.runtime.checkpoint import _plan_to_json
-from repro.runtime.shards import DEFAULT_ISPS, Q12Cell, enumerate_q12_cells
+from repro.runtime.shards import (DEFAULT_ISPS, Q12Cell,
+                                  q12_cells_with_addresses)
 from repro.synth.world import World
 
 __all__ = [
@@ -40,6 +66,13 @@ __all__ = [
     "q12_cell_digest",
     "q3_block_digest",
 ]
+
+# The World attributes a cell's digest reads besides ground truth: the
+# cell enumeration, each cell's address list and each Q3 block's roles
+# all come from these. A prior wave's digests carry forward only while
+# every one is the same object.
+_STATIC_PARTS = ("config", "caf_by_isp_state", "caf_addresses", "hubb",
+                "zillow", "block_competition")
 
 
 def _truth_digest_payload(truth: ServiceTruth) -> dict:
@@ -53,6 +86,25 @@ def _truth_digest_payload(truth: ServiceTruth) -> dict:
     }
 
 
+def _truth_pairs(addresses, truths) -> list:
+    return [[address.address_id, _truth_digest_payload(truth)]
+            for address, truth in zip(addresses, truths)]
+
+
+def _q12_digest(cell: Q12Cell, addresses, truths) -> str:
+    return content_digest({
+        "isp": cell.isp_id,
+        "cbg": cell.cbg,
+        "truths": _truth_pairs(addresses, truths),
+    })
+
+
+def _q12_truths(world: World, cell: Q12Cell, addresses) -> tuple:
+    truth = world.ground_truth
+    return tuple([truth.truth_for(cell.isp_id, address.address_id)
+                  for address in addresses])
+
+
 def q12_cell_digest(world: World, cell: Q12Cell, addresses=None) -> str:
     """Content address of one Q1/Q2 cell's query-relevant world state.
 
@@ -63,17 +115,49 @@ def q12_cell_digest(world: World, cell: Q12Cell, addresses=None) -> str:
     if addresses is None:
         addresses = world.caf_addresses_by_cbg(
             cell.isp_id, cell.state)[cell.cbg]
+    return _q12_digest(cell, addresses, _q12_truths(world, cell, addresses))
+
+
+@dataclass(frozen=True)
+class _Q3Reads:
+    """What one Q3 block's digest reads: roles, addresses, truths."""
+
+    block: str
+    incumbent: str
+    cable: str | None
+    footprint: tuple  # the incumbent's CAF then non-CAF addresses
+    non_caf: tuple
+    # The incumbent's truth over the footprint, then the cable ISP's
+    # over the non-CAF addresses (none without a cable ISP).
+    truths: tuple
+
+    def digest(self) -> str:
+        split = len(self.footprint)
+        return content_digest({
+            "block": self.block,
+            "incumbent": self.incumbent,
+            "cable": self.cable,
+            "incumbent_truths": _truth_pairs(self.footprint,
+                                             self.truths[:split]),
+            "cable_truths": _truth_pairs(self.non_caf, self.truths[split:]),
+        })
+
+
+def _q3_reads(world: World, block_geoid: str) -> _Q3Reads:
+    competition = world.block_competition[block_geoid]
+    incumbent = competition.incumbent_isp_id
+    cable = competition.cable_isp_id
+    non_caf = tuple(world.zillow.non_caf_in_block(block_geoid))
+    footprint = (*world.caf_addresses_in_block(incumbent, block_geoid),
+                 *non_caf)
     truth = world.ground_truth
-    payload = {
-        "isp": cell.isp_id,
-        "cbg": cell.cbg,
-        "truths": [
-            [address.address_id,
-             _truth_digest_payload(truth.truth_for(cell.isp_id, address.address_id))]
-            for address in addresses
-        ],
-    }
-    return content_digest(payload)
+    truths = [truth.truth_for(incumbent, address.address_id)
+              for address in footprint]
+    if cable is not None:
+        truths += [truth.truth_for(cable, address.address_id)
+                   for address in non_caf]
+    return _Q3Reads(block_geoid, incumbent, cable, footprint, non_caf,
+                    tuple(truths))
 
 
 def q3_block_digest(world: World, block_geoid: str) -> str:
@@ -84,40 +168,52 @@ def q3_block_digest(world: World, block_geoid: str) -> str:
     exactly the pairs :func:`repro.core.collection.run_q3_block` can
     query.
     """
-    competition = world.block_competition[block_geoid]
-    incumbent = competition.incumbent_isp_id
-    cable = competition.cable_isp_id
-    caf = world.caf_addresses_in_block(incumbent, block_geoid)
-    non_caf = world.zillow.non_caf_in_block(block_geoid)
-    truth = world.ground_truth
-    payload = {
-        "block": block_geoid,
-        "incumbent": incumbent,
-        "cable": cable,
-        "incumbent_truths": [
-            [address.address_id,
-             _truth_digest_payload(truth.truth_for(incumbent, address.address_id))]
-            for address in (*caf, *non_caf)
-        ],
-        "cable_truths": [
-            [address.address_id,
-             _truth_digest_payload(truth.truth_for(cable, address.address_id))]
-            for address in non_caf
-        ] if cable is not None else [],
-    }
-    return content_digest(payload)
+    return _q3_reads(world, block_geoid).digest()
 
 
 @dataclass
 class WaveDigests:
-    """One wave's per-cell digests, keyed in canonical campaign order."""
+    """One wave's per-cell digests, keyed in canonical campaign order.
+
+    The remaining fields are the carry-forward memo the next wave's
+    :func:`compute_wave_digests` reads (see the module docstring). They
+    are excluded from equality and never persisted.
+    """
 
     q12: dict[Q12Cell, str] = field(default_factory=dict)
     q3: dict[str, str] = field(default_factory=dict)
+    # The truth objects each digest's payload read, per cell and block.
+    q12_truths: dict[Q12Cell, tuple] = field(
+        default_factory=dict, compare=False, repr=False)
+    q3_truths: dict[str, tuple] = field(
+        default_factory=dict, compare=False, repr=False)
+    # The _STATIC_PARTS objects and the (isps, states, q3_states)
+    # subsets the digests were read under.
+    basis: tuple = field(default=(), compare=False, repr=False)
+    # How many digests were carried from the prior wave unencoded.
+    reused: int = field(default=0, compare=False)
 
     @property
     def total_cells(self) -> int:
         return len(self.q12) + len(self.q3)
+
+    @property
+    def computed(self) -> int:
+        """Digests encoded and hashed this wave."""
+        return self.total_cells - self.reused
+
+
+def _same_objects(truths: tuple, prior: tuple | None) -> bool:
+    return (prior is not None and len(truths) == len(prior)
+            and all(map(is_, truths, prior)))
+
+
+def _same_basis(basis: tuple, prior: tuple) -> bool:
+    if not prior:
+        return False
+    parts, subsets = basis
+    prior_parts, prior_subsets = prior
+    return subsets == prior_subsets and all(map(is_, parts, prior_parts))
 
 
 def compute_wave_digests(
@@ -125,18 +221,35 @@ def compute_wave_digests(
     isps: tuple[str, ...] = DEFAULT_ISPS,
     states: tuple[str, ...] | None = None,
     q3_states: tuple[str, ...] | None = None,
+    prior: WaveDigests | None = None,
 ) -> WaveDigests:
-    """Digest every campaign cell of ``world``, in canonical order."""
-    digests = WaveDigests()
-    grouped: dict[tuple[str, str], dict] = {}
-    for cell in enumerate_q12_cells(world, isps=isps, states=states):
-        key = (cell.isp_id, cell.state)
-        if key not in grouped:
-            grouped[key] = world.caf_addresses_by_cbg(*key)
-        digests.q12[cell] = q12_cell_digest(world, cell,
-                                            grouped[key][cell.cbg])
+    """Digest every campaign cell of ``world``, in canonical order.
+
+    With the ``prior`` wave's digests, a cell whose world parts and
+    truth objects are all the prior wave's carries its digest forward
+    instead of re-encoding it; the result is equal either way.
+    """
+    digests = WaveDigests(basis=(
+        tuple(getattr(world, name) for name in _STATIC_PARTS),
+        (tuple(isps), states, q3_states)))
+    carry = prior is not None and _same_basis(digests.basis, prior.basis)
+    for cell, addresses in q12_cells_with_addresses(world, isps, states):
+        truths = _q12_truths(world, cell, addresses)
+        digests.q12_truths[cell] = truths
+        if carry and _same_objects(truths, prior.q12_truths.get(cell)):
+            digests.q12[cell] = prior.q12[cell]
+            digests.reused += 1
+        else:
+            digests.q12[cell] = _q12_digest(cell, addresses, truths)
     for block_geoid in q3_block_candidates(world, states=q3_states):
-        digests.q3[block_geoid] = q3_block_digest(world, block_geoid)
+        reads = _q3_reads(world, block_geoid)
+        digests.q3_truths[block_geoid] = reads.truths
+        if carry and _same_objects(reads.truths,
+                                   prior.q3_truths.get(block_geoid)):
+            digests.q3[block_geoid] = prior.q3[block_geoid]
+            digests.reused += 1
+        else:
+            digests.q3[block_geoid] = reads.digest()
     return digests
 
 

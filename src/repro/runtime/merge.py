@@ -25,7 +25,7 @@ from repro.runtime.shards import (
     DEFAULT_ISPS,
     Q12Cell,
     ShardSpec,
-    enumerate_q12_cells,
+    q12_cells_with_addresses,
 )
 from repro.synth.world import World
 
@@ -60,14 +60,10 @@ def merge_shard_results(
             owner_q3[block] = spec.index
 
     result = CollectionResult(log=QueryLog())
-    grouped: dict[tuple[str, str], dict] = {}
-    for cell in enumerate_q12_cells(world, isps=isps, states=states):
+    for cell, addresses in q12_cells_with_addresses(world, isps, states):
         shard = completed[owner_q12[cell]]
         records = shard.q12_records[cell]
-        key = (cell.isp_id, cell.state)
-        if key not in grouped:
-            grouped[key] = world.caf_addresses_by_cbg(*key)
-        plan = plan_cbg_sample(cell.cbg, grouped[key][cell.cbg], policy,
+        plan = plan_cbg_sample(cell.cbg, addresses, policy,
                                seed=world.config.seed)
         result.plans[(cell.isp_id, cell.cbg)] = plan
         result.cbg_totals[(cell.isp_id, cell.cbg)] = plan.population_size

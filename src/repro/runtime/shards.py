@@ -20,12 +20,14 @@ relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
+from repro.addresses.models import StreetAddress
 from repro.core.pipeline import CAF_STUDY_ISP_IDS as DEFAULT_ISPS
 from repro.synth.world import World
 
 __all__ = ["Q12Cell", "ShardSpec", "deal_shards", "enumerate_q12_cells",
-           "plan_shards"]
+           "plan_shards", "q12_cells_with_addresses"]
 
 
 @dataclass(frozen=True)
@@ -69,14 +71,22 @@ def enumerate_q12_cells(
     states: tuple[str, ...] | None = None,
 ) -> list[Q12Cell]:
     """All Q1/Q2 cells in the order the sequential campaign visits them."""
-    states = states or world.config.states
-    cells: list[Q12Cell] = []
+    return [cell for cell, _ in q12_cells_with_addresses(world, isps, states)]
+
+
+def q12_cells_with_addresses(
+    world: World,
+    isps: tuple[str, ...] = DEFAULT_ISPS,
+    states: tuple[str, ...] | None = None,
+) -> Iterator[tuple[Q12Cell, list[StreetAddress]]]:
+    """Each Q1/Q2 cell, in canonical order, with its CAF addresses —
+    one grouping pass per (ISP, state) for callers that need both."""
     for isp_id in isps:
-        for state in states:
+        for state in states or world.config.states:
             by_cbg = world.caf_addresses_by_cbg(isp_id, state)
             for cbg in sorted(by_cbg):
-                cells.append(Q12Cell(isp_id=isp_id, state=state, cbg=cbg))
-    return cells
+                yield (Q12Cell(isp_id=isp_id, state=state, cbg=cbg),
+                       by_cbg[cbg])
 
 
 def deal_shards(

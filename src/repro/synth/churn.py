@@ -100,14 +100,22 @@ def _evolve_truth(
     world: World, model: ChurnModel, years: int, seed: int
 ) -> GroundTruth:
     every_year = list(range(years))
+    pairs = world.ground_truth.pairs()
     # (isp, cbg) → the years that cell churned. One stable draw per
     # (isp, cbg, year), shared by every address in the cell — the
     # spatial correlation that keeps unchanged cells byte-stable across
-    # waves.
+    # waves. Each address's CBG is resolved once, up front, into
+    # ``cbg_of`` (one shared string per CBG); the cell gating and both
+    # schedule passes read it there.
+    cbg_of: dict[str, str] = {}
     cell_years: dict[tuple[str, str], list[int]] = {}
     if model.cell_rate < 1.0:
-        cell_years = {(isp_id, _address_cbg(world, address_id)): []
-                      for isp_id, address_id in world.ground_truth.pairs()}
+        shared: dict[str, str] = {}
+        for isp_id, address_id in pairs:
+            if address_id not in cbg_of:
+                cbg = _address_cbg(world, address_id)
+                cbg_of[address_id] = shared.setdefault(cbg, cbg)
+            cell_years.setdefault((isp_id, cbg_of[address_id]), [])
         keys = [(cell, year) for cell in cell_years for year in every_year]
         rolls = stable_uniforms((seed, "churn-cell", *cell, year)
                                 for cell, year in keys)
@@ -116,9 +124,10 @@ def _evolve_truth(
                 cell_years[cell].append(year)
 
     def schedule():
-        for isp_id, address_id in world.ground_truth.pairs():
-            cell = (isp_id, _address_cbg(world, address_id))
-            yield isp_id, address_id, cell_years.get(cell, every_year)
+        for isp_id, address_id in pairs:
+            yield isp_id, address_id, (
+                cell_years[isp_id, cbg_of[address_id]] if cell_years
+                else every_year)
 
     # An address that churns in no year never draws, so only the others
     # open their per-address stream, batched and in schedule order.

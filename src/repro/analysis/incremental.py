@@ -27,9 +27,9 @@ O(total records). Equality with the full recompute is enforced by
 Rows are plain dicts; on disk each row is one compact binary column
 document (:mod:`repro.tabular.colio`, ``CACHE_FILE_FORMAT`` 2) whose
 typed buffers restore every float bit-exactly, so a row reloaded from
-the disk-backed cache is byte-equal to the row that was stored. The
-legacy format-1 JSON-per-cell files are still readable, so caches
-persisted before the format change stay warm.
+the disk-backed cache is byte-equal to the row that was stored. A row
+file in any other format (the format-1 JSON-per-cell files included)
+is a miss that recomputes.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ __all__ = [
 # versioned separately by CACHE_FILE_FORMAT.
 ROW_FORMAT_VERSION = 1
 # On-disk layout: 2 = binary column documents (tabular.colio, one .col
-# file per row); 1 = the legacy JSON-per-cell files, still readable.
+# file per row).
 CACHE_FILE_FORMAT = 2
 _NAMESPACE_DIGITS = 16
 
@@ -256,9 +256,6 @@ class WaveRowCache:
     .atomic_write_batch`: every file fsynced before its rename, one
     directory barrier per batch), and :func:`wave_analysis` persists a
     wave's fresh rows that way, in one batch at the end of the wave.
-    Format-1 caches — the legacy JSON-per-cell files — remain
-    readable: a lookup falls back to the ``.json`` file when no
-    ``.col`` exists, and the next ``put`` writes format 2.
     ``namespace`` must digest everything *besides* the cell digest
     that shapes a row — the panel fingerprint (scenario, policy,
     replacement budget) and the compliance standard — or two panels
@@ -289,10 +286,6 @@ class WaveRowCache:
     def _path_for(self, kind: str, digest: str) -> Path:
         """The format-2 binary column document for one row."""
         return self._directory / f"{kind}-{digest}.col"
-
-    def _legacy_path_for(self, kind: str, digest: str) -> Path:
-        """The format-1 JSON file (read-only upgrade path)."""
-        return self._directory / f"{kind}-{digest}.json"
 
     def get(self, kind: str, digest: str):
         """A cached row (possibly ``None``), or the module-level miss
@@ -351,19 +344,12 @@ class WaveRowCache:
     def _load(self, kind: str, digest: str):
         """Load one verified persisted row; damage is a miss.
 
-        Tries the format-2 column document first, then the legacy
-        format-1 JSON file. Like every durable store here, the payload
-        is checksummed — a corrupted-but-parseable row folded into a
-        wave's weighted rates would silently break the byte-equality
-        contract. A failing file is unlinked so the recompute's re-put
-        replaces it.
+        Like every durable store here, the payload is checksummed — a
+        corrupted-but-parseable row folded into a wave's weighted
+        rates would silently break the byte-equality contract. A
+        failing file is unlinked so the recompute's re-put replaces
+        it.
         """
-        row = self._load_col(kind, digest)
-        if row is not _MISS:
-            return row
-        return self._load_legacy_json(kind, digest)
-
-    def _load_col(self, kind: str, digest: str):
         path = self._path_for(kind, digest)
         try:
             payload = path.read_bytes()
@@ -390,29 +376,6 @@ class WaveRowCache:
             return _MISS
         return row
 
-    def _load_legacy_json(self, kind: str, digest: str):
-        import json
-
-        path = self._legacy_path_for(kind, digest)
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except OSError:
-            return _MISS
-        except json.JSONDecodeError:
-            path.unlink(missing_ok=True)
-            return _MISS
-        if (not isinstance(document, dict)
-                or document.get("format") != ROW_FORMAT_VERSION
-                or document.get("namespace") != self._namespace):
-            return _MISS
-        if (document.get("digest") != digest
-                or "row" not in document
-                or content_digest({"row": document["row"]})
-                != document.get("row_sha256")):
-            path.unlink(missing_ok=True)
-            return _MISS
-        return document["row"]
-
     def sweep_stale_tmp_files(self) -> None:
         if self._directory is not None:
             sweep_stale_tmp_files(self._directory)
@@ -424,16 +387,15 @@ class WaveRowCache:
         a stale row file behind each wave; sweeping against the wave
         manifests' referenced digests (``PanelStore
         .referenced_digests()``) bounds the row store to the live
-        panel, exactly like the cell CAS sweep. Returns the digests
-        removed. In-memory rows are untouched (they die with the
-        process).
+        panel, exactly like the cell CAS sweep. Only this format's
+        ``.col`` files are swept; files of any other format are left
+        alone. Returns the digests removed. In-memory rows are
+        untouched (they die with the process).
         """
         if self._directory is None or not self._directory.exists():
             return []
         removed: list[str] = []
-        paths = [*self._directory.glob("*.col"),
-                 *self._directory.glob("*.json")]
-        for path in sorted(paths):
+        for path in sorted(self._directory.glob("*.col")):
             digest = path.stem.split("-", 1)[-1]
             if digest in referenced:
                 continue

@@ -689,10 +689,7 @@ def _command_panel(args: argparse.Namespace) -> int:
     if args.store:
         # Bound the disk-backed row store to the digests this run
         # actually analyzed — churned cells leave one stale row file
-        # per superseded digest behind otherwise. Keyed to the run's
-        # live digests (not the store's v2 manifests), so resuming a
-        # pre-1.5 panel whose waves are all format-1 documents cannot
-        # wipe the rows it just wrote.
+        # per superseded digest behind otherwise.
         rows.sweep_unreferenced(live_digests)
         print(f"panel store: {campaign.store.panel_directory}")
     return 0

@@ -24,11 +24,9 @@ published as one group commit (:func:`~repro.runtime.atomicio
 .atomic_write_batch`: each file fsynced before its rename, one
 directory barrier for the batch) and only then its manifest, with the
 shared atomic tmp-then-rename primitive — so every cell a manifest
-references is durable before the manifest exists. Format-1 wave
-documents (the pre-CAS layout, whose ``cells`` payload was embedded
-as one double-encoded JSON string) stay loadable read-only, so an
-existing panel upgrades in place; new waves are always written as
-format 2.
+references is durable before the manifest exists. A wave document in
+any other format (the pre-CAS format-1 layout included) is a plain
+miss: the wave recomputes and its republish replaces the document.
 
 Cell files can be orphaned — a crash between publishing a wave's CAS
 entries and its manifest, a manifest damaged beyond recognition, or a
@@ -57,11 +55,7 @@ from repro.runtime.atomicio import (
     sweep_stale_tmp_files,
 )
 from repro.runtime.cache import canonical_json, content_digest
-from repro.runtime.checkpoint import (
-    _record_from_json,
-    _record_to_json,
-    _shard_from_json,
-)
+from repro.runtime.checkpoint import _record_from_json, _record_to_json
 from repro.runtime.storebase import FingerprintNamespacedStore
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,8 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["PanelStore"]
 
 FORMAT_VERSION = 2
-# Format-1 documents (one self-contained JSON per wave) load read-only.
-_LEGACY_FORMAT_VERSION = 1
 _CELLS_SUBDIR = "cells"
 
 
@@ -205,11 +197,10 @@ class PanelStore(FingerprintNamespacedStore):
     # ------------------------------------------------------------------
 
     def _load_manifest(self, wave: int) -> dict | None:
-        """One wave's parsed manifest (format 1 or 2), or ``None``."""
+        """One wave's parsed manifest, or ``None``."""
         document = self._owned_document(self.wave_path(wave))
         if (document is None
-                or document.get("format") not in (FORMAT_VERSION,
-                                                  _LEGACY_FORMAT_VERSION)
+                or document.get("format") != FORMAT_VERSION
                 or document.get("wave") != wave):
             return None
         return document
@@ -286,20 +277,6 @@ class PanelStore(FingerprintNamespacedStore):
             return None
         return result
 
-    @staticmethod
-    def _assemble_legacy(document: dict) -> "ShardResult | None":
-        """Format 1: the whole wave embedded as one JSON *string* (the
-        double-encoded pre-CAS layout), checksummed over those bytes."""
-        cell_payload = document.get("cells")
-        if (not isinstance(cell_payload, str)
-                or hashlib.sha256(cell_payload.encode("utf-8")).hexdigest()
-                != document.get("cells_sha256")):
-            return None
-        try:
-            return _shard_from_json(json.loads(cell_payload))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            return None
-
     def load_wave(
         self, wave: int
     ) -> "tuple[ShardResult, dict] | None":
@@ -313,10 +290,7 @@ class PanelStore(FingerprintNamespacedStore):
         document = self._load_manifest(wave)
         if document is None:
             return None
-        if document["format"] == _LEGACY_FORMAT_VERSION:
-            cells = self._assemble_legacy(document)
-        else:
-            cells = self._assemble_from_cas(document)
+        cells = self._assemble_from_cas(document)
         if cells is None:
             return None
         manifest = {
@@ -348,7 +322,7 @@ class PanelStore(FingerprintNamespacedStore):
         referenced: set[str] = set()
         for wave in self.waves():
             document = self._load_manifest(wave)
-            if document is None or document["format"] != FORMAT_VERSION:
+            if document is None:
                 continue
             refs = document.get("cells")
             if (not isinstance(refs, dict)

@@ -134,15 +134,3 @@ class StudyStore:
     def dataset_names(self) -> list[str]:
         """All dataset names the store format defines."""
         return sorted(_DATASETS)
-
-    def checkpoints(self, fingerprint: str):
-        """Open this store's shard-checkpoint area (``shards/``).
-
-        Returns a :class:`~repro.runtime.checkpoint.CheckpointStore`
-        bound to the given campaign fingerprint; the runtime uses it to
-        persist completed shards next to the study datasets so an
-        interrupted export resumes instead of recomputing.
-        """
-        from repro.runtime.checkpoint import CheckpointStore
-
-        return CheckpointStore(self._directory / "shards", fingerprint)

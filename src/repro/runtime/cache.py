@@ -94,28 +94,23 @@ def audit_digest(
     engine_config=None,
 ) -> str:
     """Content address of one audit: every input that determines it —
-    scenario, policy, ISP set, and the urban-survey toggle.
-
-    ``engine_config`` participates only when it differs from the
-    default :class:`~repro.bqt.engine.EngineConfig` — an omitted or
-    default config hashes exactly as before, preserving every digest
-    already in a cache. A non-default config (fewer retries, pacing)
-    gets its own address: retry policy changes the records, and a
-    paced rehearsal that hit the cache would never actually pace.
+    scenario, policy, ISP set, the urban-survey toggle, and the engine
+    config (``None`` hashes as the default
+    :class:`~repro.bqt.engine.EngineConfig`). Retry policy changes the
+    records, and a paced rehearsal that hit the cache would never
+    actually pace, so a non-default config gets its own address.
     """
     from repro.bqt.engine import EngineConfig
 
     policy = policy or SamplingPolicy()
-    payload = {
+    return content_digest({
         "format": CACHE_FORMAT_VERSION,
         "scenario": asdict(scenario),
         "policy": asdict(policy),
         "isps": sorted(isps),
         "use_urban_survey": use_urban_survey,
-    }
-    if engine_config is not None and engine_config != EngineConfig():
-        payload["engine_config"] = asdict(engine_config)
-    return content_digest(payload)
+        "engine_config": asdict(engine_config or EngineConfig()),
+    })
 
 
 def world_digest(scenario: ScenarioConfig) -> str:

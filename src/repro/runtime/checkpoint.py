@@ -1,39 +1,31 @@
 """Shard checkpoints: interrupted campaigns resume, not restart.
 
-Each completed shard is written as one JSON file the moment it
-finishes, alongside a manifest that fingerprints the campaign
-(scenario, sampling policy, ISP set, shard count). On resume the store
-reloads every shard whose fingerprint matches and the executor runs
-only the remainder; because shard records round-trip exactly (JSON
-floats use shortest-round-trip ``repr``), the resumed merge is
-bit-identical to an uninterrupted run.
+Each completed shard is written as one self-verifying JSON record the
+moment it finishes — the canonical JSON of ``{"fingerprint", "index",
+"shard", "shard_sha256"}`` (:func:`shard_record`), the same record the
+service journal's ``shard-completed`` event carries. On resume the
+store reloads every record that passes :func:`verified_shard` and the
+executor runs only the remainder; because shard records round-trip
+exactly (JSON floats use shortest-round-trip ``repr``), the resumed
+merge is bit-identical to an uninterrupted run.
 
 Crash safety is load-bearing here — with the distributed backend a
 checkpoint directory survives machine failures, so every write must
 leave the store readable no matter where the writer dies:
 
-* every file (shard and manifest) is published with the
-  tmp-then-``rename`` pattern, so readers never observe a half-written
-  JSON document;
+* every shard file is published with the tmp-then-``rename`` pattern,
+  so readers never observe a half-written JSON document;
 * each campaign's files live in a subdirectory named by a prefix of
   its fingerprint, so two campaigns sharing a checkpoint root can
   never clobber each other's work;
-* the manifest is a cache, not the source of truth — when it is
-  corrupt, missing, or stale, :meth:`CheckpointStore.load_completed`
-  rebuilds it from the intact shard files and heals it on disk.
-
-The on-disk layout is an extension of the
-:class:`~repro.persist.store.StudyStore` directory format — shard
-files live in a ``shards/`` subdirectory and reuse the store's SHA-256
-content checksums — so ``StudyStore(path).checkpoints(fingerprint)``
-opens the same data.
+* every file is SHA-256-verified on every load — a torn, foreign,
+  old-format or bit-rotted file is a miss whose shard recomputes and
+  whose re-save replaces it; no file is ever deleted over it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -44,16 +36,19 @@ from repro.core.collection import Q3BlockOutcome
 from repro.core.sampling import SamplingPolicy
 from repro.isp.plans import BroadbandPlan
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.persist.store import _sha256
 from repro.runtime.atomicio import atomic_write_text, sweep_stale_tmp_files
-from repro.runtime.cache import content_digest
+from repro.runtime.cache import canonical_json, content_digest
 from repro.runtime.shards import Q12Cell
 from repro.runtime.storebase import FingerprintNamespacedStore
 from repro.synth.scenario import ScenarioConfig
 
-__all__ = ["CheckpointStore", "campaign_fingerprint"]
+__all__ = [
+    "CheckpointStore",
+    "campaign_fingerprint",
+    "shard_record",
+    "verified_shard",
+]
 
-MANIFEST_NAME = "checkpoint.json"
 FORMAT_VERSION = 1
 
 
@@ -189,6 +184,53 @@ def _shard_from_json(data: dict) -> "ShardResult":
     return result
 
 
+def shard_record(fingerprint: str, result: "ShardResult") -> dict:
+    """The self-verifying record of one completed shard.
+
+    A checkpoint file is this record's canonical JSON; the service
+    journal's ``shard-completed`` event is this record plus its
+    ``kind`` and ``job``. ``shard_sha256`` covers the shard payload, so
+    the record verifies itself wherever it is stored.
+    """
+    return _encode_record(fingerprint, result)[0]
+
+
+def _encode_record(fingerprint: str,
+                   result: "ShardResult") -> tuple[dict, str]:
+    """A :func:`shard_record` and its canonical JSON, with the shard
+    encoded once — its canonical form is both what ``shard_sha256``
+    hashes and what the document embeds, keys in canonical order."""
+    shard = _shard_to_json(result)
+    body = canonical_json(shard)
+    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    record = {"fingerprint": fingerprint, "index": result.index,
+              "shard": shard, "shard_sha256": checksum}
+    document = (f'{{"fingerprint":{canonical_json(fingerprint)},'
+                f'"index":{result.index},"shard":{body},'
+                f'"shard_sha256":"{checksum}"}}')
+    return record, document
+
+
+def verified_shard(record: dict, fingerprint: str) -> "ShardResult | None":
+    """Decode one :func:`shard_record` of ``fingerprint``'s campaign.
+
+    ``None`` covers every way a record can be unusable — another
+    campaign's fingerprint, a missing or mismatching ``shard_sha256``,
+    an index that disagrees with its shard, or a payload the codec
+    rejects — so callers treat it as a miss and recompute.
+    """
+    shard = record.get("shard")
+    if (record.get("fingerprint") != fingerprint
+            or not isinstance(shard, dict)
+            or content_digest(shard) != record.get("shard_sha256")):
+        return None
+    try:
+        result = _shard_from_json(shard)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return result if result.index == record.get("index") else None
+
+
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
@@ -212,178 +254,47 @@ class CheckpointStore(FingerprintNamespacedStore):
         """Path of one shard's checkpoint file."""
         return self.campaign_directory / f"shard-{index:04d}.json"
 
-    def _manifest_path(self) -> Path:
-        return self.campaign_directory / MANIFEST_NAME
-
-    def _load_manifest(self) -> dict | None:
-        # A kill mid-write cannot truncate the manifest any more
-        # (writes are atomic), but a manifest written by older code or
-        # damaged externally is still recoverable: ``None`` lets the
-        # caller rebuild from the shard files instead of crashing.
-        return self._read_json_document(self._manifest_path())
-
-    def _write_manifest(self, checksums: dict[str, str]) -> None:
-        payload = {
-            "format": FORMAT_VERSION,
-            "fingerprint": self._fingerprint,
-            "checksums": checksums,
-        }
-        atomic_write_text(
-            self._manifest_path(),
-            json.dumps(payload, indent=2, sort_keys=True))
-
     def save_shard(self, result: "ShardResult") -> Path:
-        """Persist one completed shard; updates the manifest."""
+        """Persist one completed shard as its self-verifying record."""
         self.campaign_directory.mkdir(parents=True, exist_ok=True)
-        manifest = self._load_manifest()
-        if (manifest is not None
-                and manifest.get("fingerprint") != self._fingerprint):
-            # The namespaced directory should only ever hold this
-            # campaign's manifest; a foreign one means external
-            # tampering. Never delete data over it — warn, and let the
-            # rebuilt manifest supersede it.
-            warnings.warn(
-                f"checkpoint manifest under {self.campaign_directory} "
-                f"claims fingerprint {manifest.get('fingerprint')!r}, "
-                f"expected {self._fingerprint!r}; rebuilding the "
-                f"manifest without deleting any shard files",
-                stacklevel=2)
-            manifest = None
-        if manifest is not None:
-            checksums = dict(manifest["checksums"])
-        else:
-            # Torn or foreign manifest: re-list the shard files already
-            # on disk (parseable ones, hashed as they stand) instead of
-            # starting from nothing — leaving them unlisted would
-            # disable their integrity checks on every later load.
-            checksums = {
-                path.name: _sha256(path)
-                for path in sorted(
-                    self.campaign_directory.glob("shard-*.json"))
-                if self._load_shard_file(path) is not None
-            }
         path = self.shard_path(result.index)
-        payload = json.dumps(_shard_to_json(result), sort_keys=True)
-        atomic_write_text(path, payload)
-        # Digest the in-memory payload: re-reading a multi-megabyte
-        # file just written, on the serialized on_complete path, would
-        # double checkpoint I/O.
-        checksums[path.name] = hashlib.sha256(
-            payload.encode("utf-8")).hexdigest()
-        self._write_manifest(checksums)
+        atomic_write_text(path, _encode_record(self._fingerprint, result)[1])
         sweep_stale_tmp_files(self.campaign_directory)
         _METRICS.counter("checkpoint_shards_saved_total").inc()
         return path
 
-    def _load_shard_file(self, path: Path) -> "ShardResult | None":
-        """Parse one shard file, or None if it is corrupt/unreadable."""
-        try:
-            return _shard_from_json(
-                json.loads(path.read_text(encoding="utf-8")))
-        except (json.JSONDecodeError, OSError, KeyError, TypeError,
-                ValueError):
-            return None
-
-    def _adopt_legacy_layout(self) -> None:
-        """Migrate pre-namespacing checkpoints into the campaign dir.
-
-        Before 1.3 a campaign's shard files and manifest lived at the
-        checkpoint *root*. If a root manifest carries this campaign's
-        fingerprint, its intact shard files — checksum-verified
-        against the legacy manifest, with the same authority rule as
-        :meth:`load_completed` — are copied into the namespaced
-        directory (atomically) and the legacy files are removed, so
-        ``--resume`` keeps working across the upgrade. A root manifest
-        with a different fingerprint is another campaign's legacy data
-        and is left untouched.
-        """
-        legacy_manifest = self._directory / MANIFEST_NAME
-        if not legacy_manifest.exists():
-            return
-        # Unrecognizable or another campaign's legacy data: not ours
-        # to clean up.
-        legacy = self._owned_document(legacy_manifest)
-        if legacy is None:
-            return
-        self.campaign_directory.mkdir(parents=True, exist_ok=True)
-        for name, expected in legacy.get("checksums", {}).items():
-            source = self._directory / name
-            target = self.campaign_directory / name
-            if not source.exists() or source == target:
-                continue
-            if (not target.exists()
-                    and _sha256(source) == expected
-                    and self._load_shard_file(source)):
-                atomic_write_text(target,
-                                  source.read_text(encoding="utf-8"))
-            # Failed the checksum or the parse: bit rot — drop it and
-            # let the shard recompute, exactly as load_completed does.
-            source.unlink(missing_ok=True)
-        legacy_manifest.unlink(missing_ok=True)
-
     def load_completed(self) -> dict[int, "ShardResult"]:
         """Reload every intact checkpointed shard of this campaign.
 
-        The manifest is never trusted to be *complete*: shard files it
-        does not list (a writer died between publishing the shard and
-        updating the manifest, or the manifest itself was torn and
-        parsed as nothing) are recovered by parsing them directly, and
-        the healed manifest is written back. But for files the
-        manifest *does* list, its SHA-256 checksum is authoritative: a
-        mismatching file is skipped and recomputed, because damage
-        that happens to stay parseable (bit rot on flaky storage)
-        must not silently break the bit-identical-merge guarantee.
-        The skip is self-correcting — the shard reruns, is re-saved,
-        and the manifest entry is refreshed. Pre-1.3 root-level
-        layouts are migrated into the campaign directory first.
+        Each file is verified on its own (:func:`verified_shard`), so
+        there is no index to go stale: damage that happens to stay
+        parseable (bit rot on flaky storage) fails its checksum and
+        must not silently break the bit-identical-merge guarantee. A
+        failing file is skipped, never deleted — its shard reruns and
+        the re-save replaces it.
         """
-        self._adopt_legacy_layout()
         directory = self.campaign_directory
         if not directory.exists():
             return {}
-        manifest = self._load_manifest()
-        if manifest is not None and manifest.get("fingerprint") != self._fingerprint:
-            manifest = None
-        known = manifest.get("checksums", {}) if manifest else {}
-
         completed: dict[int, "ShardResult"] = {}
-        checksums: dict[str, str] = {}
         for path in sorted(directory.glob("shard-*.json")):
-            digest = _sha256(path)
-            expected = known.get(path.name)
-            if expected is not None and digest != expected:
-                # Listed file failing its integrity check. Keep the
-                # recorded checksum in the healed manifest so the
-                # damaged file stays quarantined on the next load
-                # instead of sneaking back in as "unlisted".
-                checksums[path.name] = expected
-                continue
-            result = self._load_shard_file(path)
-            if result is None:
-                continue  # unlisted file that does not parse
-            completed[result.index] = result
-            checksums[path.name] = digest
-        if completed and checksums != known:
-            # Heal the manifest so the next reader sees every
-            # recovered shard listed with a current checksum.
-            self._write_manifest(checksums)
+            record = self._read_json_document(path)
+            result = (None if record is None
+                      else verified_shard(record, self._fingerprint))
+            if result is not None:
+                completed[result.index] = result
         return completed
 
     def clear(self) -> None:
-        """Delete this campaign's checkpoint files (manifest included).
+        """Delete this campaign's checkpoint files.
 
-        Only the namespaced campaign directory — plus any pre-1.3
-        root-level files carrying this campaign's fingerprint, which
-        would otherwise be re-adopted by a later resume — is touched;
-        other campaigns sharing the checkpoint root are left intact.
+        Only the namespaced campaign directory is touched; other
+        campaigns sharing the checkpoint root are left intact.
         """
-        # Route legacy files through the migration first so clearing
-        # a campaign also retires its pre-1.3 layout.
-        self._adopt_legacy_layout()
         directory = self.campaign_directory
         if not directory.exists():
             return
-        for pattern in ("shard-*.json", MANIFEST_NAME, "*.tmp-*"):
+        for pattern in ("shard-*.json", "*.tmp-*"):
             for path in directory.glob(pattern):
                 path.unlink(missing_ok=True)
         try:

@@ -1,4 +1,4 @@
-"""The durable stores' common base: fingerprint-namespaced, checksum-heal.
+"""The durable stores' common base: fingerprint-namespaced, self-verifying.
 
 Three on-disk stores share one survival story — the shard checkpoints
 (:class:`~repro.runtime.checkpoint.CheckpointStore`), the panel wave
@@ -18,9 +18,9 @@ them:
 * publish through :mod:`repro.runtime.atomicio` and sweep its stale
   tmp files.
 
-This base class holds the shared mechanics; the policy differences
-(manifest-of-checksums vs per-document digests vs hash chains) stay in
-the subclasses.
+This base class holds the shared mechanics; the two integrity schemes
+(per-document digests for checkpoint records and CAS cells, a hash
+chain for the journal) stay in the subclasses.
 """
 
 from __future__ import annotations

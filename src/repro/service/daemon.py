@@ -14,8 +14,8 @@ Every lifecycle step is an entry in the hash-chained
 :class:`~repro.service.journal.Journal`, and the journal is the
 service's *only* durable state: a restarted daemon replays it,
 re-enqueues unfinished jobs, and resumes their campaigns from the
-journaled shard payloads — no checkpoint directory, no manifest,
-nothing to heal. Kill the daemon at any instruction and
+journaled shard records — no checkpoint directory, nothing to
+heal. Kill the daemon at any instruction and
 ``Journal.replay()`` reconstructs exactly the completed-shard state a
 :class:`~repro.runtime.checkpoint.CheckpointStore` resume would have
 loaded (the equivalence harness proves the two byte-equal).
@@ -478,8 +478,8 @@ class AuditService:
         from repro.core.sampling import SamplingPolicy
         from repro.runtime.checkpoint import (
             _record_to_json,
-            _shard_to_json,
             campaign_fingerprint,
+            shard_record,
         )
         from repro.runtime.executor import RuntimeConfig, dispatch_shards
         from repro.runtime.merge import merge_shard_results
@@ -510,12 +510,8 @@ class AuditService:
                             q3_states=q3_states)
 
         def on_complete(result) -> None:
-            shard = _shard_to_json(result)
-            self._record({
-                "kind": "shard-completed", "job": job_id,
-                "fingerprint": fingerprint, "index": result.index,
-                "shard": shard, "shard_sha256": content_digest(shard),
-            })
+            self._record({"kind": "shard-completed", "job": job_id,
+                          **shard_record(fingerprint, result)})
             completed[result.index] = result
 
         pending = [s for s in specs if s.index not in completed]

@@ -5,10 +5,10 @@ lifecycle event — submission accepted, campaign planned, shard
 completed, wave sealed, job finished — as one entry in this journal,
 and *nothing else is the coordinator's durable state*. Restart or
 crash recovery is :meth:`Journal.replay`: fold the verified entries
-into a :class:`CoordinatorState`, deterministically. "State = a
-replayable log" subsumes the checkpoint store's manifest healing —
-a ``shard-completed`` entry carries the shard's full checkpoint
-payload, so the journal *is* the checkpoint (the equivalence harness
+into a :class:`CoordinatorState`, deterministically. A
+``shard-completed`` entry is the checkpoint store's own self-verifying
+shard record (:func:`~repro.runtime.checkpoint.shard_record`), so the
+journal *is* the checkpoint (the equivalence harness
 proves ``replay()`` after a SIGKILL reconstructs the same completed-
 shard state as :class:`~repro.runtime.checkpoint.CheckpointStore`'s
 resume path, byte for byte).
@@ -29,8 +29,7 @@ chain is verified from genesis:
 
 * a *torn tail* — damage at the very end of the last segment, the
   signature of a writer killed mid-append — is truncated back to the
-  last verifiable entry, exactly the recovery the checkpoint store's
-  manifest healing used to do;
+  last verifiable entry;
 * damage with verified-looking data *after* it (mid-file corruption,
   a chain break, bit rot) is **quarantined**: the damaged remainder
   moves to a ``*.quarantine`` sibling for post-mortem and the journal
@@ -533,27 +532,20 @@ class Journal(FingerprintNamespacedStore):
     def completed_shard_results(self, fingerprint: str) -> dict[int, object]:
         """Rebuild one campaign's completed shards from the journal.
 
-        The resume path's payload source: ``shard-completed`` entries
-        carry the full checkpoint JSON, verified against the recorded
-        ``shard_sha256`` before decoding — a journal entry is
-        chain-verified as *bytes*, but the shard codec is the authority
-        on structure.
+        The resume path's payload source: a ``shard-completed`` entry
+        is a checkpoint shard record plus its ``kind`` and ``job``,
+        decoded by the checkpoint store's own verifier
+        (:func:`~repro.runtime.checkpoint.verified_shard`) — a journal
+        entry is chain-verified as *bytes*, but the shard record is
+        the authority on its payload.
         """
-        from repro.runtime.checkpoint import _shard_from_json
+        from repro.runtime.checkpoint import verified_shard
 
         completed: dict[int, object] = {}
         for entry in self.entries():
-            event = entry.event
-            if (event.get("kind") != "shard-completed"
-                    or event.get("fingerprint") != fingerprint):
+            if entry.event.get("kind") != "shard-completed":
                 continue
-            shard = event.get("shard")
-            if (not isinstance(shard, dict)
-                    or content_digest(shard) != event.get("shard_sha256")):
-                continue
-            try:
-                result = _shard_from_json(shard)
-            except (KeyError, TypeError, ValueError):
-                continue
-            completed[result.index] = result
+            result = verified_shard(entry.event, fingerprint)
+            if result is not None:
+                completed[result.index] = result
         return completed

@@ -3,10 +3,12 @@
 With the distributed backend, checkpoints are what survive a machine
 failure — so the store must stay readable whatever instruction the
 writer died on. Each test here stages one concrete wreck (truncated
-manifest, truncated shard file, orphaned tmp file, manifest that never
-learned about a published shard) and asserts that ``load_completed``
-recovers every intact shard instead of silently discarding work, and
-that campaigns sharing a checkpoint root cannot destroy each other.
+shard file, orphaned tmp file, a rename that never happened,
+parseable bit rot, another campaign's or an older layout's files) and
+asserts that ``load_completed`` recovers every intact shard instead
+of silently discarding work, that every shard record is verified on
+load, and that campaigns sharing a checkpoint root cannot destroy
+each other.
 """
 
 from __future__ import annotations
@@ -23,6 +25,13 @@ from repro.runtime import (
     plan_shards,
     run_shard,
 )
+from repro.runtime.cache import canonical_json
+from repro.runtime.checkpoint import (
+    _shard_to_json,
+    shard_record,
+    verified_shard,
+)
+from repro.service.journal import Journal, service_fingerprint
 
 SUBSET = dict(isps=("consolidated",), states=("VT", "NH"),
               q3_states=("UT",))
@@ -41,62 +50,6 @@ def record_key(record):
     return (record.isp_id, record.address_id, record.block_geoid,
             record.status, record.plans, record.error_category,
             record.attempts, record.elapsed_seconds, record.replacement_for)
-
-
-class TestTruncatedManifest:
-    def test_rebuilds_every_intact_shard(self, two_shards, tmp_path):
-        """The bug this PR fixes: a manifest truncated by a mid-write
-        kill used to make ``load_completed`` return {} even though
-        every shard file was intact."""
-        results, fingerprint = two_shards
-        store = CheckpointStore(tmp_path, fingerprint)
-        for result in results:
-            store.save_shard(result)
-        manifest = store.campaign_directory / "checkpoint.json"
-        manifest.write_text(
-            manifest.read_text(encoding="utf-8")[:37], encoding="utf-8")
-        completed = store.load_completed()
-        assert set(completed) == {0, 1}
-        # The recovered records are exact, not merely counted.
-        for index, original in enumerate(results):
-            for cell, records in original.q12_records.items():
-                assert ([record_key(r)
-                         for r in completed[index].q12_records[cell]]
-                        == [record_key(r) for r in records])
-
-    def test_heals_the_manifest_on_disk(self, two_shards, tmp_path):
-        results, fingerprint = two_shards
-        store = CheckpointStore(tmp_path, fingerprint)
-        for result in results:
-            store.save_shard(result)
-        manifest = store.campaign_directory / "checkpoint.json"
-        manifest.write_text("", encoding="utf-8")
-        store.load_completed()
-        healed = json.loads(manifest.read_text(encoding="utf-8"))
-        assert healed["fingerprint"] == fingerprint
-        assert sorted(healed["checksums"]) == ["shard-0000.json",
-                                               "shard-0001.json"]
-
-    def test_non_object_json_manifest_recovers(self, two_shards, tmp_path):
-        """Valid JSON that is not an object (hand-editing damage) must
-        trigger the rebuild, not an AttributeError."""
-        results, fingerprint = two_shards
-        store = CheckpointStore(tmp_path, fingerprint)
-        for result in results:
-            store.save_shard(result)
-        (store.campaign_directory / "checkpoint.json").write_text(
-            "[1, 2]", encoding="utf-8")
-        assert set(store.load_completed()) == {0, 1}
-
-    def test_missing_manifest_recovers_too(self, two_shards, tmp_path):
-        """A writer killed after publishing shards but before the very
-        first manifest write leaves no manifest at all."""
-        results, fingerprint = two_shards
-        store = CheckpointStore(tmp_path, fingerprint)
-        for result in results:
-            store.save_shard(result)
-        (store.campaign_directory / "checkpoint.json").unlink()
-        assert set(store.load_completed()) == {0, 1}
 
 
 class TestTruncatedShardFile:
@@ -156,20 +109,18 @@ class TestPartialTmpFiles:
     def test_writes_publish_by_rename(self, two_shards, tmp_path,
                                       monkeypatch):
         """If the writer dies between writing the tmp file and the
-        rename, the previously published manifest is still the one on
-        disk — no torn state, only old state."""
+        rename, the shard's previously published state is the one on
+        disk — no torn state, only old state — and the other shards
+        still load."""
         from pathlib import Path
 
         results, fingerprint = two_shards
         store = CheckpointStore(tmp_path, fingerprint)
         store.save_shard(results[0])
-        before = (store.campaign_directory
-                  / "checkpoint.json").read_text(encoding="utf-8")
-
         original_replace = Path.replace
 
         def dying_replace(self, target):
-            if target.name == "checkpoint.json":
+            if target.name == "shard-0001.json":
                 raise KeyboardInterrupt  # the kill lands mid-publish
             return original_replace(self, target)
 
@@ -177,107 +128,147 @@ class TestPartialTmpFiles:
         with pytest.raises(KeyboardInterrupt):
             store.save_shard(results[1])
         monkeypatch.undo()
-        after = (store.campaign_directory
-                 / "checkpoint.json").read_text(encoding="utf-8")
-        assert after == before  # old manifest intact, not truncated
-        # Resume still recovers BOTH shards: shard 1's file was
-        # published before the manifest update died.
+        # A first publish that died leaves no shard file at all.
+        assert not store.shard_path(1).exists()
+        assert set(store.load_completed()) == {0}
+
+        store.save_shard(results[1])
+        before = store.shard_path(1).read_bytes()
+        monkeypatch.setattr(Path, "replace", dying_replace)
+        with pytest.raises(KeyboardInterrupt):
+            store.save_shard(results[1])
+        monkeypatch.undo()
+        # A re-publish that died leaves the old file, not a torn one.
+        assert store.shard_path(1).read_bytes() == before
         assert set(store.load_completed()) == {0, 1}
 
 
 class TestChecksumAuthority:
     def test_listed_file_failing_checksum_is_recomputed(
             self, two_shards, tmp_path):
-        """For files the manifest lists, the checksum is authoritative:
-        parseable-but-mismatching content (bit rot that stays valid
-        JSON) is skipped and recomputed rather than silently merged —
+        """Every shard file is verified against its own
+        ``shard_sha256``: parseable damage inside the shard payload
+        (bit rot that stays valid JSON and leaves the header intact)
+        is skipped and recomputed rather than silently merged —
         integrity beats stale-record recovery."""
         results, fingerprint = two_shards
         store = CheckpointStore(tmp_path, fingerprint)
         store.save_shard(results[0])
         store.save_shard(results[1])
         path = store.shard_path(0)
-        # Parseable damage: perturb one digit inside the payload.
+        # Parseable damage: perturb one digit of a record value inside
+        # the shard payload.
         text = path.read_text(encoding="utf-8")
-        damaged = text.replace("1", "2", 1)
-        assert damaged != text
+        key = '"elapsed_seconds":'
+        at = text.index(key, text.index('"shard":{')) + len(key)
+        digit = "3" if text[at] == "2" else "2"
+        damaged = text[:at] + digit + text[at + 1:]
+        original, rotted = json.loads(text), json.loads(damaged)
+        assert rotted["shard"] != original["shard"]
+        assert ({k: v for k, v in rotted.items() if k != "shard"}
+                == {k: v for k, v in original.items() if k != "shard"})
         path.write_text(damaged, encoding="utf-8")
         assert set(store.load_completed()) == {1}
-        # Re-saving the recomputed shard refreshes the entry.
+        assert path.exists()  # a miss, never deleted
+        # Re-saving the recomputed shard replaces the damaged file.
         store.save_shard(results[0])
         assert set(store.load_completed()) == {0, 1}
 
 
+class TestOneShardRecord:
+    def test_checkpoint_file_and_journal_event_share_one_record(
+            self, two_shards, tmp_path):
+        """A checkpoint file and the journal's ``shard-completed``
+        event carry the same self-verifying record, and one verifier
+        rejects tampering in either."""
+        results, fingerprint = two_shards
+        result = results[0]
+        store = CheckpointStore(tmp_path / "checkpoints", fingerprint)
+        store.save_shard(result)
+        journal_root = tmp_path / "journal"
+        journal = Journal(journal_root, service_fingerprint("record"))
+        journal.append({"kind": "shard-completed", "job": "job-a",
+                        **shard_record(fingerprint, result)})
+        journal.close()
+        event = Journal(journal_root,
+                        service_fingerprint("record")).entries()[0].event
+
+        text = store.shard_path(0).read_text("utf-8")
+        assert text == canonical_json(shard_record(fingerprint, result))
+        on_disk = json.loads(text)
+        assert on_disk["shard"] == event["shard"]
+        assert on_disk["shard_sha256"] == event["shard_sha256"]
+        for record in (on_disk, event):
+            decoded = verified_shard(record, fingerprint)
+            assert _shard_to_json(decoded) == _shard_to_json(result)
+            assert verified_shard(record, "deadbeef" * 8) is None
+            tampered = json.loads(json.dumps(record))
+            tampered["shard"]["count"] += 1
+            assert verified_shard(tampered, fingerprint) is None
+            reindexed = dict(record, index=record["index"] + 1)
+            assert verified_shard(reindexed, fingerprint) is None
+
+        # Both recovery paths route through that verifier.
+        tampered = json.loads(json.dumps(on_disk))
+        tampered["shard"]["count"] += 1
+        store.shard_path(0).write_text(canonical_json(tampered),
+                                       encoding="utf-8")
+        assert store.load_completed() == {}
+        journal = Journal(tmp_path / "tampered", service_fingerprint("record"))
+        journal.append({"kind": "shard-completed", "job": "job-b",
+                        **tampered})
+        assert journal.completed_shard_results(fingerprint) == {}
+        journal.close()
+
+
 class TestLegacyLayoutMigration:
-    """Pre-1.3 checkpoints lived at the root; resume must survive the
-    upgrade to the namespaced layout."""
+    """Pre-1.3 checkpoints lived at the root, and pre-record shard
+    files were plain shard JSON next to a manifest of checksums. No
+    such layout is migrated: each is a miss whose shards recompute,
+    and none of its files is ever deleted."""
 
-    def _stage_legacy(self, store, results, tmp_path):
-        """Write a v1.2-style root-level layout for this campaign."""
-        from repro.runtime.checkpoint import _shard_to_json
+    @staticmethod
+    def _stage_legacy(directory, fingerprint, results):
+        """Write a manifest-plus-plain-shards layout into
+        ``directory``; returns every staged file's bytes."""
+        import hashlib
 
+        directory.mkdir(parents=True, exist_ok=True)
         checksums = {}
         for result in results:
-            path = tmp_path / f"shard-{result.index:04d}.json"
+            path = directory / f"shard-{result.index:04d}.json"
             path.write_text(json.dumps(_shard_to_json(result),
                                        sort_keys=True), encoding="utf-8")
-            from repro.persist.store import _sha256
-
-            checksums[path.name] = _sha256(path)
-        (tmp_path / "checkpoint.json").write_text(json.dumps({
+            checksums[path.name] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+        (directory / "checkpoint.json").write_text(json.dumps({
             "format": 1,
-            "fingerprint": store.fingerprint,
+            "fingerprint": fingerprint,
             "checksums": checksums,
         }), encoding="utf-8")
-
-    def test_legacy_checkpoints_resume_after_upgrade(
-            self, two_shards, tmp_path):
-        results, fingerprint = two_shards
-        store = CheckpointStore(tmp_path, fingerprint)
-        self._stage_legacy(store, results, tmp_path)
-        completed = store.load_completed()
-        assert set(completed) == {0, 1}
-        # The files were migrated into the namespace and the legacy
-        # layout retired, so the next load takes the normal path.
-        assert store.shard_path(0).exists()
-        assert not (tmp_path / "shard-0000.json").exists()
-        assert not (tmp_path / "checkpoint.json").exists()
-        assert set(store.load_completed()) == {0, 1}
-
-    def test_legacy_file_failing_its_checksum_not_adopted(
-            self, two_shards, tmp_path):
-        """Migration honors the legacy manifest's checksums: parseable
-        bit rot is dropped and recomputed, not blessed into the new
-        layout."""
-        results, fingerprint = two_shards
-        store = CheckpointStore(tmp_path, fingerprint)
-        self._stage_legacy(store, results, tmp_path)
-        damaged = tmp_path / "shard-0000.json"
-        damaged.write_text(
-            damaged.read_text(encoding="utf-8").replace("1", "2", 1),
-            encoding="utf-8")
-        assert set(store.load_completed()) == {1}
-        assert not store.shard_path(0).exists()
+        return {path: path.read_bytes()
+                for path in directory.glob("*.json")}
 
     def test_foreign_legacy_layout_untouched(self, two_shards, tmp_path):
         results, fingerprint = two_shards
-        other = CheckpointStore(tmp_path, "deadbeef" * 8)
-        self._stage_legacy(other, results, tmp_path)
         store = CheckpointStore(tmp_path, fingerprint)
+        staged = {}
+        # Another campaign's pre-1.3 root layout, then this campaign's
+        # own: neither is adopted.
+        staged.update(self._stage_legacy(tmp_path, "deadbeef" * 8,
+                                         results))
         assert store.load_completed() == {}
-        # Another campaign's legacy files are not ours to migrate.
-        assert (tmp_path / "shard-0000.json").exists()
-        assert (tmp_path / "checkpoint.json").exists()
-
-    def test_clear_retires_own_legacy_layout(self, two_shards, tmp_path):
-        """A non-resume run clears its campaign; stale legacy files
-        must not resurrect on the next resume."""
-        results, fingerprint = two_shards
-        store = CheckpointStore(tmp_path, fingerprint)
-        self._stage_legacy(store, results, tmp_path)
-        store.clear()
+        staged.update(self._stage_legacy(tmp_path, fingerprint, results))
         assert store.load_completed() == {}
-        assert not (tmp_path / "checkpoint.json").exists()
+        # Plain pre-record shard files (and their manifest) inside the
+        # namespace are misses too.
+        staged.update(self._stage_legacy(store.campaign_directory,
+                                         fingerprint, results[1:]))
+        assert store.load_completed() == {}
+        store.save_shard(results[0])
+        assert set(store.load_completed()) == {0}
+        for path, payload in staged.items():
+            assert path.read_bytes() == payload, path
 
 
 class TestFingerprintNamespacing:
@@ -307,18 +298,21 @@ class TestFingerprintNamespacing:
             self, two_shards, tmp_path):
         """save_shard used to call clear() when the manifest
         fingerprint mismatched, destroying another campaign's files.
-        Now it warns and rebuilds the manifest, deleting nothing."""
+        A shard file carrying a foreign fingerprint is a miss, and
+        saving this campaign's shards deletes no other file."""
         results, fingerprint = two_shards
         store = CheckpointStore(tmp_path, fingerprint)
         store.save_shard(results[0])
-        manifest = store.campaign_directory / "checkpoint.json"
-        tampered = json.loads(manifest.read_text(encoding="utf-8"))
-        tampered["fingerprint"] = "deadbeef"
-        manifest.write_text(json.dumps(tampered), encoding="utf-8")
-        with pytest.warns(UserWarning, match="fingerprint"):
-            store.save_shard(results[1])
-        # Nothing was deleted; both shards load.
-        assert store.shard_path(0).exists()
+        foreign = store.shard_path(1)
+        foreign.write_text(
+            canonical_json(shard_record("deadbeef" * 8, results[1])),
+            encoding="utf-8")
+        payload = foreign.read_bytes()
+        assert set(store.load_completed()) == {0}
+        store.save_shard(results[0])
+        assert foreign.read_bytes() == payload
+        # Only a re-save of the same shard replaces it.
+        store.save_shard(results[1])
         assert set(store.load_completed()) == {0, 1}
 
     def test_clear_only_touches_own_namespace(self, two_shards, tmp_path):

@@ -172,6 +172,21 @@ class TestDiskBackedRows:
         assert foreign.directory == cache.directory
         digest = next(iter(panel_outcomes[0].digests.q12.values()))
         assert not foreign.lookup("q12", digest)[0]
+        # A format-1 JSON row file, even one carrying this namespace,
+        # is a miss that neither a lookup nor the sweep unlinks.
+        from repro.runtime.cache import content_digest
+
+        row, old_digest = {"queried": 8}, "e" * 64
+        legacy = cache.directory / f"q12-{old_digest}.json"
+        legacy.write_text(json.dumps({
+            "format": 1, "namespace": cache.namespace,
+            "digest": old_digest,
+            "row_sha256": content_digest({"row": row}), "row": row,
+        }), encoding="utf-8")
+        fresh = row_cache_for(campaign, directory=tmp_path)
+        assert not fresh.lookup("q12", old_digest)[0]
+        fresh.sweep_unreferenced(set())
+        assert legacy.exists()
 
     def test_cached_none_row_round_trips(self, tmp_path):
         cache = WaveRowCache("a" * 64, directory=tmp_path)
@@ -179,34 +194,6 @@ class TestDiskBackedRows:
         fresh = WaveRowCache("a" * 64, directory=tmp_path)
         hit, row = fresh.lookup("q12", "b" * 64)
         assert hit and row is None
-
-    def test_format1_json_cache_still_readable(self, tmp_path):
-        """A cache persisted before the binary format: its format-1
-        JSON files must stay warm, the loaded row must be byte-equal
-        to what format 2 round-trips, and a re-put must upgrade the
-        file to format 2."""
-        from repro.runtime.cache import content_digest
-
-        namespace, digest = "a" * 64, "b" * 64
-        row = {"isp_id": "frontier", "state": "VT", "cbg": "500019601001",
-               "served_rate": 0.625, "compliant_rate": 1 / 3,
-               "queried": 8, "weight": 12}
-        cache = WaveRowCache(namespace, directory=tmp_path)
-        legacy = cache.directory / f"q12-{digest}.json"
-        legacy.parent.mkdir(parents=True, exist_ok=True)
-        legacy.write_text(json.dumps({
-            "format": 1, "namespace": namespace, "digest": digest,
-            "row_sha256": content_digest({"row": row}), "row": row,
-        }), encoding="utf-8")
-
-        hit, loaded = cache.lookup("q12", digest)
-        assert hit and _row_bytes(loaded) == _row_bytes(row)
-
-        cache.put("q12", digest, loaded)
-        assert (cache.directory / f"q12-{digest}.col").exists()
-        fresh = WaveRowCache(namespace, directory=tmp_path)
-        hit, upgraded = fresh.lookup("q12", digest)
-        assert hit and _row_bytes(upgraded) == _row_bytes(row)
 
     def test_sweep_unreferenced_rows(self, tmp_path):
         """Churned cells strand one row file per superseded digest;

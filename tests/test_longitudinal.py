@@ -369,74 +369,25 @@ class TestPanelStoreCAS:
                                       "payload": {}}), encoding="utf-8")
         assert store._load_cell_payload("d" * 64) is None
         assert future.exists()
-
-    def test_v1_wave_document_loads_read_only(self, world, tmp_path):
-        """A format-1 wave file (the pre-CAS layout: the whole cell
-        payload embedded as one double-encoded JSON string) must keep
-        loading byte-for-byte, so existing panels upgrade in place."""
+        # An older wave document — format 1 embedded the whole wave as
+        # one double-encoded JSON string — is a miss that is kept too.
         import hashlib
 
         from repro.runtime.checkpoint import _shard_to_json
 
-        campaign = self._run(world, tmp_path, horizons=(1,))
-        outcomes = campaign.run()
-        store = campaign.store
-        reference = store.load_wave(0)
-        assert reference is not None
-
-        # Rewrite wave 0 exactly as the 1.4 store serialized it.
-        cell_payload = json.dumps(_shard_to_json(outcomes[0].cells),
+        cell_payload = json.dumps(_shard_to_json(store.load_wave(0)[0]),
                                   sort_keys=True, separators=(",", ":"))
-        v1_document = {
-            "format": 1,
-            "fingerprint": store.fingerprint,
-            "wave": 0,
-            "horizon_years": 0,
-            "counts": {"fresh_q12": outcomes[0].fresh_q12,
-                       "replayed_q12": 0,
-                       "fresh_q3": outcomes[0].fresh_q3,
-                       "replayed_q3": 0},
+        v1_document = json.dumps({
+            "format": 1, "fingerprint": store.fingerprint, "wave": 0,
+            "horizon_years": 0, "counts": {},
             "cells_sha256": hashlib.sha256(
                 cell_payload.encode("utf-8")).hexdigest(),
             "cells": cell_payload,
-        }
-        store.wave_path(0).write_text(json.dumps(v1_document,
-                                                 sort_keys=True),
-                                      encoding="utf-8")
-        loaded = store.load_wave(0)
-        assert loaded is not None
-        cells, manifest = loaded
-        assert manifest["format"] == 1
-        assert _shard_to_json(cells) == _shard_to_json(reference[0])
-
-        # And a resumed panel replays the v1 wave wholesale.
-        resumed = self._run(world, tmp_path, horizons=(1,), resume=True)
-        assert all(o.restored_from_store for o in resumed.run())
-
-    def test_v1_checksum_still_over_the_double_encoded_string(
-            self, world, tmp_path):
-        """The v1 reader must checksum the embedded *string* payload
-        (its historical on-disk form), so real v1 files verify and
-        subtly re-encoded ones do not."""
-        campaign = self._run(world, tmp_path, horizons=(1,))
-        outcomes = campaign.run()
-        store = campaign.store
-        from repro.runtime.checkpoint import _shard_to_json
-
-        cell_payload = json.dumps(_shard_to_json(outcomes[0].cells),
-                                  sort_keys=True, separators=(",", ":"))
-        document = {
-            "format": 1,
-            "fingerprint": store.fingerprint,
-            "wave": 0,
-            "horizon_years": 0,
-            "counts": {},
-            "cells_sha256": "0" * 64,  # wrong checksum
-            "cells": cell_payload,
-        }
-        store.wave_path(0).write_text(json.dumps(document),
-                                      encoding="utf-8")
+        }, sort_keys=True)
+        store.wave_path(0).write_text(v1_document, encoding="utf-8")
         assert store.load_wave(0) is None
+        store.sweep_unreferenced_cells()
+        assert store.wave_path(0).read_text("utf-8") == v1_document
 
     def test_v2_document_is_not_double_encoded(self, world, tmp_path):
         """The satellite bugfix: manifests and CAS entries store

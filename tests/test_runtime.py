@@ -18,7 +18,6 @@ from harness.equivalence import canonical_logbook_bytes
 from repro.bqt.campaign import MAX_POLITE_WORKERS_PER_ISP
 from repro.core.collection import CollectionCampaign, collect_q3_dataset
 from repro.core.pipeline import run_full_audit
-from repro.persist import StudyStore
 from repro.runtime import (
     AuditCache,
     CheckpointStore,
@@ -464,12 +463,6 @@ class TestCheckpointResume:
                 list(map(record_key, records))
         assert restored.q3_outcomes.keys() == original.q3_outcomes.keys()
 
-    def test_study_store_checkpoint_area(self, world, tmp_path):
-        study = StudyStore(tmp_path)
-        store = study.checkpoints("abc123")
-        assert store.directory == study.directory / "shards"
-        assert store.fingerprint == "abc123"
-
 
 class TestAuditCache:
     def test_digest_sensitivity(self, tiny_config):
@@ -480,6 +473,15 @@ class TestAuditCache:
                                     use_urban_survey=False)
         reseeded = type(tiny_config)(seed=99)
         assert base != audit_digest(reseeded, None, ("att",))
+        # An omitted engine config is the default one; any other
+        # config gets its own address.
+        from repro.bqt.engine import EngineConfig
+
+        assert base == audit_digest(tiny_config, None, ("att",),
+                                    engine_config=EngineConfig())
+        assert base != audit_digest(tiny_config, None, ("att",),
+                                    engine_config=EngineConfig(
+                                        max_attempts=1))
 
     def test_run_full_audit_cache_hit_skips_rebuild(
             self, world, report, tmp_path, monkeypatch):

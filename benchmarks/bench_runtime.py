@@ -101,12 +101,14 @@ def test_shard_speedup_curve(benchmark, context):
 
     pool_seconds = distributed_seconds = None
     cores = os.cpu_count() or 1
-    if cores >= 4:
+    pool_workers = min(4, cores)
+    if cores >= 2:
         start = time.perf_counter()
-        execute_campaign(world, RuntimeConfig(shards=8, workers=4,
+        execute_campaign(world, RuntimeConfig(shards=8, workers=pool_workers,
                                               backend="process"))
         pool_seconds = time.perf_counter() - start
-        print(f"process pool (8 shards, 4 workers): {pool_seconds:.2f}s "
+        print(f"process pool (8 shards, {pool_workers} workers): "
+              f"{pool_seconds:.2f}s "
               f"(host speedup x{host_seconds[1] / pool_seconds:.2f})")
 
     # The distributed backend pays per-worker interpreter startup and
@@ -145,6 +147,7 @@ def test_shard_speedup_curve(benchmark, context):
         },
         "process_pool_seconds": (None if pool_seconds is None
                                  else round(pool_seconds, 4)),
+        "pool_workers": None if pool_seconds is None else pool_workers,
         "distributed_seconds": (None if distributed_seconds is None
                                 else round(distributed_seconds, 4)),
         "distributed_workers": fleet,

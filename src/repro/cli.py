@@ -57,11 +57,60 @@ from repro.bqt.campaign import estimate_duration, plan_full_census, plan_study
 from repro.core.oversight import compare_oversight
 from repro.core.pipeline import run_full_audit
 from repro.persist import StudyStore
+from repro.runtime.executor import BACKENDS
 from repro.synth.scenario import ScenarioConfig
 
 __all__ = ["main", "build_parser"]
 
 _SCALE_CHOICES = ("tiny", "small", "paper")
+
+
+def _add_sharding_flags(parser: argparse.ArgumentParser) -> None:
+    """The runtime flags ``run`` and ``panel`` share (see
+    :func:`_runtime_config`)."""
+    parser.add_argument(
+        "--shards", type=int, default=0, metavar="N",
+        help="shard the collection into N pieces (0 = sequential path)")
+    parser.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="worker processes (clamped to the per-ISP politeness cap)")
+    parser.add_argument(
+        "--backend", choices=BACKENDS, default="auto",
+        help="where shards run (auto: process iff workers > 1; "
+             "distributed leases shards to worker subprocesses over "
+             "local sockets)")
+    parser.add_argument(
+        "--max-inflight", type=int, default=None, metavar="N",
+        help="interleave each shard's storefront sessions on an event "
+             "loop, at most N at once; composes with any backend "
+             "(politeness is still capped per ISP)")
+
+
+def _runtime_config(args: argparse.Namespace, command: str, **extra):
+    """The :class:`~repro.runtime.RuntimeConfig` the sharding flags and
+    ``extra`` (a command's own runtime fields) ask for.
+
+    ``None`` when no flag asks for the sharded runtime; ``2`` (the exit
+    status) after reporting an invalid combination on stderr.
+    """
+    if not (args.shards or args.workers != 1 or args.backend != "auto"
+            or args.max_inflight is not None
+            or any(value is not None and value is not False
+                   for value in extra.values())):
+        return None
+    from repro.runtime import RuntimeConfig
+
+    try:
+        return RuntimeConfig(
+            shards=args.shards or max(args.workers, 1),
+            workers=args.workers,
+            backend=args.backend,
+            max_inflight=args.max_inflight,
+            **extra,
+        )
+    except ValueError as error:
+        print(f"caf-audit {command}: {error}", file=sys.stderr)
+        return 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,26 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser("run", help="run the full audit")
     run_parser.add_argument("--scale", choices=_SCALE_CHOICES, default="tiny")
     run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="shard the campaign into N pieces (0 = sequential path)")
-    run_parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes (clamped to the per-ISP politeness cap)")
-    run_parser.add_argument(
-        "--backend",
-        choices=("auto", "serial", "process", "async", "process+async",
-                 "distributed"),
-        default="auto",
-        help="shard execution backend (auto: process iff workers > 1; "
-             "async backends interleave storefront sessions per shard; "
-             "distributed leases shards to worker subprocesses over "
-             "local sockets)")
-    run_parser.add_argument(
-        "--max-inflight", type=int, default=None, metavar="N",
-        help="concurrent sessions per async event loop (default 8; "
-             "politeness is still capped per ISP; implies an async "
-             "backend when --backend is auto)")
+    _add_sharding_flags(run_parser)
     run_parser.add_argument(
         "--lease-timeout", type=float, default=None, metavar="S",
         help="distributed backend: seconds the coordinator waits for a "
@@ -158,22 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--churn-retirement-rate", type=float, default=0.01, metavar="P",
         help="per-address annual service-retirement probability inside "
              "a churning cell (default 0.01)")
-    panel_parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="shard each wave's delta collection into N pieces "
-             "(0 = in-process serial)")
-    panel_parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for changed-cell collection")
-    panel_parser.add_argument(
-        "--backend",
-        choices=("auto", "serial", "process", "async", "process+async",
-                 "distributed"),
-        default="auto",
-        help="delta-collection backend (as for run)")
-    panel_parser.add_argument(
-        "--max-inflight", type=int, default=None, metavar="N",
-        help="concurrent sessions per async event loop (as for run)")
+    _add_sharding_flags(panel_parser)
     panel_parser.add_argument(
         "--checkpoint-dir", metavar="DIR",
         help="write per-wave delta-shard checkpoints under DIR")
@@ -442,34 +457,13 @@ def _command_run(args: argparse.Namespace) -> int:
         return 2
     if args.target_seconds is not None:
         return _run_autotuned(args, scenario, engine_config)
-    parallel = None
-    wants_runtime = (args.shards or args.workers != 1 or args.resume
-                     or args.backend != "auto"
-                     or args.max_inflight is not None
-                     or args.lease_timeout is not None
-                     or args.worker_address is not None
-                     or args.checkpoint_dir or args.cache_dir)
-    if wants_runtime:
-        from repro.runtime import RuntimeConfig
-
-        try:
-            # RuntimeConfig resolves the backend: an explicit
-            # --max-inflight promotes "auto" to an async backend, and
-            # async with workers composes to process+async.
-            parallel = RuntimeConfig(
-                shards=args.shards or max(args.workers, 1),
-                workers=args.workers,
-                backend=args.backend,
-                max_inflight=args.max_inflight,
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume,
-                cache_dir=args.cache_dir,
-                lease_timeout=args.lease_timeout,
-                worker_address=args.worker_address,
-            )
-        except ValueError as error:
-            print(f"caf-audit run: {error}", file=sys.stderr)
-            return 2
+    parallel = _runtime_config(
+        args, "run", checkpoint_dir=args.checkpoint_dir,
+        resume=args.resume, cache_dir=args.cache_dir,
+        lease_timeout=args.lease_timeout,
+        worker_address=args.worker_address)
+    if parallel == 2:
+        return 2
     on_progress = _shard_progress_printer() if parallel is not None else None
     report = run_full_audit(scenario=scenario, parallel=parallel,
                             on_progress=on_progress,
@@ -620,26 +614,11 @@ def _command_panel(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"caf-audit panel: {error}", file=sys.stderr)
         return 2
-    runtime = None
-    wants_runtime = (args.shards or args.workers != 1
-                     or args.backend != "auto"
-                     or args.max_inflight is not None
-                     or args.checkpoint_dir)
-    if wants_runtime:
-        from repro.runtime import RuntimeConfig
-
-        try:
-            runtime = RuntimeConfig(
-                shards=args.shards or max(args.workers, 1),
-                workers=args.workers,
-                backend=args.backend,
-                max_inflight=args.max_inflight,
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume and args.checkpoint_dir is not None,
-            )
-        except ValueError as error:
-            print(f"caf-audit panel: {error}", file=sys.stderr)
-            return 2
+    runtime = _runtime_config(
+        args, "panel", checkpoint_dir=args.checkpoint_dir,
+        resume=args.resume and args.checkpoint_dir is not None)
+    if runtime == 2:
+        return 2
     if args.resume and not args.store and not args.checkpoint_dir:
         # Fail before the (expensive) world build.
         print("caf-audit panel: --resume requires --store and/or "

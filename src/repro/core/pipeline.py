@@ -137,12 +137,13 @@ def run_full_audit(
     """Run the complete study and return every analysis object.
 
     ``parallel`` selects the sharded runtime for the two collection
-    campaigns (``backend="async"`` interleaves each shard's storefront
-    sessions on an event loop); its ``cache_dir`` short-circuits the
-    whole call with a content-addressed hit when the same (scenario,
-    policy, ISP set) audit has already been computed. On an audit miss
-    the world build is still served from the cache's scenario-keyed
-    world store, so e.g. policy sweeps rebuild only the campaigns.
+    campaigns (``max_inflight``, on any backend, interleaves each
+    shard's storefront sessions on an event loop); its ``cache_dir``
+    short-circuits the whole call with a content-addressed hit when
+    the same (scenario, policy, ISP set) audit has already been
+    computed. On an audit miss the world build is still served from
+    the cache's scenario-keyed world store, so e.g. policy sweeps
+    rebuild only the campaigns.
     ``on_progress`` (sharded runs only) fires per completed shard with
     ``(completed, total, shard_result, restored)``.
     ``engine_config`` overrides the retry/pacing policy for both

@@ -18,9 +18,9 @@ classic multi-year measurement studies. Each wave:
    cells churn touched are encoded and hashed;
 3. **executes** the changed cells through the ordinary runtime
    dispatcher (:func:`repro.runtime.executor.dispatch_shards` — every
-   backend: serial, process, async, distributed; per-wave shard
-   checkpoints and ``resume``): forked pool workers inherit the
-   evolved world, and workers in a fresh interpreter are shipped a
+   backend — serial, process, distributed — with or without
+   ``max_inflight``; per-wave shard checkpoints and ``resume``):
+   forked pool workers inherit the evolved world, and workers in a fresh interpreter are shipped a
    :class:`~repro.synth.churn.WaveScenario` so they can rebuild it;
 4. **merges** replayed + fresh cells through the runtime's canonical
    merge, producing a wave logbook byte-identical to a from-scratch

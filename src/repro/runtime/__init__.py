@@ -4,9 +4,9 @@ The paper's measurement campaign ran a fleet of containerized BQT
 workers for weeks; this subsystem gives the reproduction the same
 shape. It partitions a :class:`~repro.synth.world.World` into
 deterministic shards of independent cells (:mod:`~repro.runtime
-.shards`), runs them sequentially, on a process pool, and/or on
-per-shard asyncio event loops that interleave sessions against
-different storefronts — always under the per-storefront politeness cap
+.shards`), runs them in process or on a process pool — optionally
+interleaving each shard's sessions against different storefronts on
+an asyncio event loop, always under the per-storefront politeness cap
 (:mod:`~repro.runtime.executor`, :mod:`repro.bqt.aio`) — merges
 shard logs back into results bit-identical to the sequential campaign
 (:mod:`~repro.runtime.merge`), leases shards to a fleet of worker
@@ -26,7 +26,7 @@ Entry points::
     from repro.runtime import RuntimeConfig
 
     report = run_full_audit(parallel=RuntimeConfig(
-        shards=8, workers=4, backend="process+async", max_inflight=8))
+        shards=8, workers=4, backend="process", max_inflight=8))
 """
 
 from repro.runtime.cache import (

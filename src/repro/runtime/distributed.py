@@ -223,8 +223,7 @@ def _lease_message(
     policy: SamplingPolicy | None,
     engine_config: EngineConfig | None,
     max_replacements: int,
-    use_async: bool,
-    max_inflight: int,
+    max_inflight: int | None,
     per_isp_cap: int,
     heartbeat_interval: float | None = None,
     trace_context: dict | None = None,
@@ -238,7 +237,9 @@ def _lease_message(
         "engine_config": (None if engine_config is None
                           else asdict(engine_config)),
         "max_replacements": max_replacements,
-        "use_async": use_async,
+        # Protocol-1 keys, kept so workers of every release decode
+        # it: ``max_inflight`` counts only when ``use_async`` is true.
+        "use_async": max_inflight is not None,
         "max_inflight": max_inflight,
         "per_isp_cap": per_isp_cap,
         # None asks the worker not to beat (pre-heartbeat coordinators
@@ -268,8 +269,8 @@ def _execute_lease(message: dict) -> dict:
         engine_config=(None if engine_config is None
                        else EngineConfig(**engine_config)),
         max_replacements=message["max_replacements"],
-        use_async=message["use_async"],
-        max_inflight=message["max_inflight"],
+        max_inflight=(message["max_inflight"] if message["use_async"]
+                      else None),
         per_isp_cap=message["per_isp_cap"],
     )
     frame = {
@@ -666,8 +667,8 @@ def run_shards_distributed(
                 trace_context["span_id"] = parent
         leases_granted.inc()
         return _lease_message(scenario, spec, policy, engine_config,
-                              max_replacements, config.uses_async,
-                              config.effective_max_inflight, per_isp_cap,
+                              max_replacements, config.max_inflight,
+                              per_isp_cap,
                               heartbeat_interval=heartbeat_interval,
                               trace_context=trace_context)
 

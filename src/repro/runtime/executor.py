@@ -1,30 +1,32 @@
 """Sharded campaign execution.
 
 :func:`execute_campaign` turns the audit's two collections into a
-sharded job: plan the shards, run each shard's cells (in process, on a
-``concurrent.futures.ProcessPoolExecutor``, on a per-shard asyncio
-event loop, and/or on a leased fleet of worker processes — see
-:mod:`repro.runtime.distributed`), checkpoint completed shards, and
-merge the shard logs back into campaign results that are bit-identical
-to the sequential loops in :mod:`repro.core.collection`.
+sharded job: plan the shards, run each shard's cells where the
+backend places them (in process, on a
+``concurrent.futures.ProcessPoolExecutor``, or on a leased fleet of
+worker processes — see :mod:`repro.runtime.distributed`), optionally
+interleaved on a per-shard asyncio event loop, checkpoint completed
+shards, and merge the shard logs back into campaign results that are
+bit-identical to the sequential loops in :mod:`repro.core.collection`.
 
 Politeness is enforced the way the paper's fleet enforced it, whatever
 the backend:
 
-* a *serial* or *process* shard drives at most one browser session per
-  ISP at a time (its cells run sequentially), so concurrent sessions
-  per storefront are bounded by the number of in-flight shards — which
-  :class:`RuntimeConfig` clamps to ``MAX_POLITE_WORKERS_PER_ISP``;
-* an *async* shard interleaves up to ``max_inflight`` sessions against
-  different storefronts on one event loop, with a
-  :class:`~repro.bqt.aio.PolitenessGate` token bucket holding each
-  storefront to :attr:`RuntimeConfig.per_shard_isp_cap` — the global
-  cap divided across however many shards run concurrently, so the
-  fleet-wide per-ISP concurrency never exceeds the cap *exactly as in
-  the serial case*.
+* without ``max_inflight`` a shard drives at most one browser session
+  per ISP at a time (its cells run sequentially), so concurrent
+  sessions per storefront are bounded by the number of in-flight
+  shards — which :class:`RuntimeConfig` clamps to
+  ``MAX_POLITE_WORKERS_PER_ISP``;
+* with ``max_inflight`` set, on any backend, a shard interleaves up to
+  that many sessions against different storefronts on one event loop,
+  with a :class:`~repro.bqt.aio.PolitenessGate` token bucket holding
+  each storefront to :attr:`RuntimeConfig.per_shard_isp_cap` — the
+  global cap divided across however many shards run concurrently, so
+  the fleet-wide per-ISP concurrency never exceeds the cap *exactly as
+  in the sequential case*.
 
 Worker processes never receive the (multi-megabyte) world over the
-pipe. The process backends seed the per-process world cache with the
+pipe. The process backend seeds the per-process world cache with the
 coordinator's world before the pool forks, so forked workers run their
 shards on that same world object and a campaign builds its world once.
 A worker that did not inherit it (a non-fork start method, or a
@@ -37,6 +39,7 @@ seed — at most once per worker.
 from __future__ import annotations
 
 import asyncio
+import functools
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable
@@ -63,11 +66,7 @@ from repro.synth.world import World, build_world
 __all__ = ["RuntimeConfig", "ShardResult", "dispatch_shards",
            "execute_campaign", "run_shard"]
 
-_BACKENDS = ("auto", "serial", "process", "async", "process+async",
-             "distributed")
-
-# One event loop's default concurrent-session bound (async backends).
-DEFAULT_MAX_INFLIGHT = 8
+BACKENDS = ("auto", "serial", "process", "distributed")
 
 # on_progress callback: (completed shards, total shards, newest result,
 # restored) — ``restored`` is True when the shard came back from a
@@ -80,22 +79,17 @@ ProgressCallback = Callable[[int, int, "ShardResult", bool], None]
 class RuntimeConfig:
     """How to run a campaign: sharding, parallelism, durability.
 
-    ``backend`` is ``"serial"`` (run shards in this process — the
-    deterministic default tests rely on), ``"process"`` (a process
-    pool), ``"async"`` (shards run one at a time, but each shard's
-    cells interleave on an asyncio event loop), ``"process+async"``
-    (a process pool whose workers each run an event loop),
-    ``"distributed"`` (a coordinator leases shards to worker
-    processes over sockets — see :mod:`repro.runtime.distributed`;
-    ``workers`` sets the fleet size, and ``max_inflight`` additionally
-    runs each worker's shard on an event loop), or ``"auto"`` (process
-    pool exactly when ``workers > 1``).
+    ``backend`` says only where shards run: ``"serial"`` (in this
+    process, one at a time — the deterministic default tests rely
+    on), ``"process"`` (a process pool), ``"distributed"`` (a
+    coordinator leases shards to worker processes over sockets — see
+    :mod:`repro.runtime.distributed`; ``workers`` sets the fleet
+    size), or ``"auto"`` (process pool exactly when ``workers > 1``).
 
-    ``max_inflight`` bounds one event loop's total concurrent sessions
-    across all storefronts. Setting it is a request for the async
-    engine: under ``backend="auto"`` it selects an async backend
-    (``None``, the default, leaves "auto" resolving to serial/process
-    and async backends on ``DEFAULT_MAX_INFLIGHT``).
+    ``max_inflight`` says only whether and how far a shard's cells
+    interleave, on any backend: ``None`` (the default) runs them
+    sequentially; an integer runs them on an asyncio event loop
+    holding at most that many sessions across all storefronts.
 
     ``lease_timeout`` (distributed only) is how long the coordinator
     waits for a worker's result frame before presuming the worker
@@ -127,16 +121,10 @@ class RuntimeConfig:
             raise ValueError("shards must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {', '.join(_BACKENDS)}")
-        if self.max_inflight is not None:
-            if self.max_inflight < 1:
-                raise ValueError("max_inflight must be positive")
-            if self.backend in ("serial", "process"):
-                # An in-flight budget must never be silently ignored.
-                raise ValueError(
-                    f"max_inflight requires an async backend, "
-                    f"not {self.backend!r}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {', '.join(BACKENDS)}")
+        if self.max_inflight is not None and self.max_inflight < 1:
+            raise ValueError("max_inflight must be positive")
         if self.lease_timeout is not None:
             if self.lease_timeout <= 0:
                 raise ValueError("lease_timeout must be positive")
@@ -169,49 +157,18 @@ class RuntimeConfig:
 
     @property
     def effective_backend(self) -> str:
-        """The backend actually used.
-
-        Resolves ``"auto"`` (async when ``max_inflight`` was set —
-        an in-flight budget must not be silently ignored — else
-        process iff parallel), and promotes ``"async"`` with multiple
-        workers to ``"process+async"`` — silently dropping requested
-        parallelism would be a multiple-of-workers slowdown with no
-        diagnostic.
-        """
+        """The backend actually used: ``"auto"`` resolves to process
+        iff parallel, every other name to itself."""
         if self.backend == "auto":
-            if self.max_inflight is not None:
-                return ("process+async" if self.effective_workers > 1
-                        else "async")
             return "process" if self.effective_workers > 1 else "serial"
-        if self.backend == "async" and self.effective_workers > 1:
-            return "process+async"
         return self.backend
-
-    @property
-    def effective_max_inflight(self) -> int:
-        """The event-loop session bound actually used."""
-        return (DEFAULT_MAX_INFLIGHT if self.max_inflight is None
-                else self.max_inflight)
-
-    @property
-    def uses_async(self) -> bool:
-        """Whether shards run their cells on an asyncio event loop.
-
-        Distributed workers are sync by default; an explicit
-        ``max_inflight`` asks them to interleave their shard's cells
-        on an event loop, exactly like ``process+async`` workers.
-        """
-        if self.effective_backend == "distributed":
-            return self.max_inflight is not None
-        return self.effective_backend in ("async", "process+async")
 
     @property
     def concurrent_shards(self) -> int:
         """Shards in flight at once under the effective backend."""
-        if self.effective_backend in ("process", "process+async",
-                                      "distributed"):
-            return self.effective_workers
-        return 1
+        if self.effective_backend == "serial":
+            return 1
+        return self.effective_workers
 
     def per_shard_isp_cap_for(self, pending: int) -> int:
         """Each shard's per-ISP session budget, ``pending`` shards out.
@@ -222,10 +179,10 @@ class RuntimeConfig:
         for a full fleet. The sum over in-flight shards is a hard
         upper bound at ``MAX_POLITE_WORKERS_PER_ISP``; it can never be
         exceeded, though non-divisor counts strand part of the budget
-        (8 // 3 = 2 leaves two sessions unused). Non-async shards
-        drive one session at a time by construction.
+        (8 // 3 = 2 leaves two sessions unused). Shards without
+        ``max_inflight`` drive one session at a time by construction.
         """
-        if not self.uses_async:
+        if self.max_inflight is None:
             return 1
         inflight = min(self.concurrent_shards, max(1, pending))
         return max(1, MAX_POLITE_WORKERS_PER_ISP // inflight)
@@ -254,7 +211,7 @@ class ShardResult:
 
 # Per-process world cache for pool workers: building the world is the
 # expensive part of a shard, and every shard of one campaign shares it.
-# _run_shards_process seeds it with the coordinator's world for the
+# dispatch_shards seeds it with the coordinator's world for the
 # pool's lifetime, so forked workers inherit it instead of rebuilding.
 # Keys are ScenarioConfig or any hashable recipe with a .realize()
 # (repro.synth.churn.WaveScenario — evolved panel-wave worlds).
@@ -277,23 +234,22 @@ def run_shard(
     engine_config: EngineConfig | None = None,
     max_replacements: int = 2,
     world: World | None = None,
-    use_async: bool = False,
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
+    max_inflight: int | None = None,
     per_isp_cap: int = MAX_POLITE_WORKERS_PER_ISP,
 ) -> ShardResult:
     """Run one shard's cells to completion.
 
     Top-level (picklable) so it can be submitted to a process pool;
-    the serial backend calls it directly with the already-built
-    ``world`` to skip the rebuild. With ``use_async`` the shard's
-    cells interleave on a fresh event loop (bounded by
-    ``max_inflight`` total and ``per_isp_cap`` per storefront) —
-    producing the same records, reassembled in canonical cell order.
+    an in-process dispatch calls it with the already-built ``world``
+    to skip the rebuild. With ``max_inflight`` set the shard's cells
+    interleave on a fresh event loop (bounded by ``max_inflight``
+    total and ``per_isp_cap`` per storefront) — producing the same
+    records, reassembled in canonical cell order.
     """
     world = world if world is not None else _world_for(scenario)
     with span("shard.run", index=spec.index,
               cells=len(spec.q12_cells) + len(spec.q3_blocks)):
-        if use_async:
+        if max_inflight is not None:
             from repro.bqt.aio import run_cells_async
 
             q12_records, q3_outcomes, watermarks = asyncio.run(
@@ -336,60 +292,6 @@ def run_shard(
         return result
 
 
-def _run_shards_serial(
-    world: World,
-    pending: list[ShardSpec],
-    policy: SamplingPolicy | None,
-    engine_config: EngineConfig | None,
-    max_replacements: int,
-    config: RuntimeConfig,
-    per_isp_cap: int,
-    on_complete,
-    scenario,
-) -> None:
-    for spec in pending:
-        on_complete(run_shard(
-            scenario, spec, policy=policy, engine_config=engine_config,
-            max_replacements=max_replacements, world=world,
-            use_async=config.uses_async,
-            max_inflight=config.effective_max_inflight,
-            per_isp_cap=per_isp_cap,
-        ))
-
-
-def _run_shards_process(
-    world: World,
-    pending: list[ShardSpec],
-    policy: SamplingPolicy | None,
-    engine_config: EngineConfig | None,
-    max_replacements: int,
-    config: RuntimeConfig,
-    per_isp_cap: int,
-    on_complete,
-    scenario,
-) -> None:
-    # Workers fork while the cache holds the coordinator's world, so
-    # their _world_for hits; the finally keeps the coordinator from
-    # holding the world past the campaign.
-    _WORLD_CACHE.clear()
-    _WORLD_CACHE[scenario] = world
-    try:
-        with ProcessPoolExecutor(
-                max_workers=config.effective_workers) as pool:
-            futures = [
-                pool.submit(run_shard, scenario, spec, policy,
-                            engine_config, max_replacements,
-                            use_async=config.uses_async,
-                            max_inflight=config.effective_max_inflight,
-                            per_isp_cap=per_isp_cap)
-                for spec in pending
-            ]
-            for future in as_completed(futures):
-                on_complete(future.result())
-    finally:
-        _WORLD_CACHE.clear()
-
-
 def dispatch_shards(
     world: World,
     pending: list[ShardSpec],
@@ -429,15 +331,30 @@ def dispatch_shards(
                                on_complete,
                                lease_timeout=config.lease_timeout,
                                scenario=scenario)
-    elif (config.effective_backend in ("process", "process+async")
-            and len(pending) > 1):
-        _run_shards_process(world, pending, policy, engine_config,
-                            max_replacements, config, per_isp_cap,
-                            on_complete, scenario)
-    else:
-        _run_shards_serial(world, pending, policy, engine_config,
-                           max_replacements, config, per_isp_cap,
-                           on_complete, scenario)
+        return
+    # run_shard is looked up now, not at import, so a patched module
+    # attribute reaches in-process shards and forked workers alike.
+    job = functools.partial(
+        run_shard, scenario, policy=policy, engine_config=engine_config,
+        max_replacements=max_replacements, max_inflight=config.max_inflight,
+        per_isp_cap=per_isp_cap)
+    if config.concurrent_shards == 1 or len(pending) == 1:
+        for spec in pending:
+            on_complete(job(spec, world=world))
+        return
+    # Workers fork while the cache holds the coordinator's world, so
+    # their _world_for hits; the finally keeps the coordinator from
+    # holding the world past the campaign.
+    _WORLD_CACHE.clear()
+    _WORLD_CACHE[scenario] = world
+    try:
+        with ProcessPoolExecutor(
+                max_workers=config.effective_workers) as pool:
+            futures = [pool.submit(job, spec) for spec in pending]
+            for future in as_completed(futures):
+                on_complete(future.result())
+    finally:
+        _WORLD_CACHE.clear()
 
 
 def execute_campaign(
@@ -479,7 +396,7 @@ def execute_campaign(
         configure_tracing(fingerprint, site="coordinator")
 
     with span("campaign", backend=config.effective_backend,
-              shards=config.shards):
+              max_inflight=config.max_inflight, shards=config.shards):
         with span("campaign.plan"):
             specs = plan_shards(world, config.shards, isps=isps,
                                 states=states, q3_states=q3_states)

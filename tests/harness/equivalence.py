@@ -55,6 +55,7 @@ __all__ = [
     "canonical_analysis_bytes",
     "canonical_logbook_bytes",
     "canonical_shard_state_bytes",
+    "mode_label",
     "run_backend",
     "assert_backends_equivalent",
     "assert_incremental_analysis_equivalent",
@@ -72,21 +73,30 @@ def backend_matrix(
 ) -> tuple[RuntimeConfig, ...]:
     """One config per execution mode, same shard partition throughout.
 
-    ``max_inflight`` deliberately defaults *above* the politeness cap
-    so the async runs only stay polite if the gate actually works.
+    Five modes: the three placements, with serial and process also run
+    on an event loop. ``max_inflight`` deliberately defaults *above*
+    the politeness cap so the event-loop runs only stay polite if the
+    gate actually works.
     The distributed entry runs real worker subprocesses leased over
     local sockets — the reference transport, end to end.
     """
     return (
         RuntimeConfig(shards=shards, backend="serial"),
         RuntimeConfig(shards=shards, workers=workers, backend="process"),
-        RuntimeConfig(shards=shards, backend="async",
+        RuntimeConfig(shards=shards, backend="serial",
                       max_inflight=max_inflight),
         RuntimeConfig(shards=shards, workers=workers,
-                      backend="process+async", max_inflight=max_inflight),
+                      backend="process", max_inflight=max_inflight),
         RuntimeConfig(shards=shards, workers=workers,
                       backend="distributed"),
     )
+
+
+def mode_label(config: RuntimeConfig) -> str:
+    """A mode's name in failure messages: the resolved backend, plus
+    ``+async`` when its shards run on an event loop."""
+    backend = config.effective_backend
+    return backend if config.max_inflight is None else f"{backend}+async"
 
 
 def canonical_logbook_bytes(collection, q3) -> bytes:
@@ -123,7 +133,7 @@ class BackendRun:
 
     @property
     def label(self) -> str:
-        return self.config.effective_backend
+        return mode_label(self.config)
 
 
 def run_backend(world: World, config: RuntimeConfig, **subset) -> BackendRun:
@@ -335,7 +345,7 @@ def assert_panel_backends_equivalent(
 
     The reference is the in-process panel (``runtime=None`` — the
     plain sequential fold); each config in the matrix (serial /
-    process / async / process+async / distributed) re-runs the same
+    process / serial+async / process+async / distributed) re-runs the same
     panel with its delta collections dispatched through that backend.
     """
     reference = [
@@ -351,7 +361,7 @@ def assert_panel_backends_equivalent(
             got = canonical_logbook_bytes(outcome.collection, outcome.q3)
             assert got == expected, (
                 f"wave {outcome.wave} logbook under "
-                f"{config.effective_backend} diverged from the "
+                f"{mode_label(config)} diverged from the "
                 f"in-process panel")
 
 

@@ -115,18 +115,23 @@ class TestCommands:
 
 class TestAsyncBackendFlags:
     def test_parser_accepts_async_backends(self):
+        """Interleaving is --max-inflight on any placement; the old
+        composite backend names are gone from both commands."""
         args = build_parser().parse_args(
-            ["run", "--backend", "process+async", "--max-inflight", "12"])
-        assert args.backend == "process+async"
+            ["run", "--backend", "process", "--max-inflight", "12"])
+        assert args.backend == "process"
         assert args.max_inflight == 12
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--backend", "threads"])
+        for command in ("run", "panel"):
+            for backend in ("threads", "async", "process+async"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(
+                        [command, "--backend", backend])
 
     def test_run_async_matches_sequential(self, capsys):
         assert main(["run", "--scale", "tiny"]) == 0
         sequential = capsys.readouterr().out
         assert main(["run", "--scale", "tiny", "--shards", "3",
-                     "--backend", "async", "--max-inflight", "16"]) == 0
+                     "--backend", "serial", "--max-inflight", "16"]) == 0
         assert capsys.readouterr().out == sequential
 
     def test_bad_max_inflight_exits_2(self, capsys):
@@ -135,7 +140,7 @@ class TestAsyncBackendFlags:
 
     def test_shard_progress_lines_on_stderr(self, capsys):
         assert main(["run", "--scale", "tiny", "--shards", "3",
-                     "--backend", "async"]) == 0
+                     "--max-inflight", "8"]) == 0
         err = capsys.readouterr().err
         lines = [l for l in err.splitlines() if l.startswith("[shard ")]
         assert len(lines) == 3
@@ -189,17 +194,21 @@ class TestAsyncBackendFlags:
         assert "ETA 0.0s" in stream.getvalue().splitlines()[4]
 
     def test_max_inflight_promotes_auto_to_async(self, capsys):
-        """An explicit --max-inflight must not be silently ignored:
-        auto promotes to an async backend; an explicit serial backend
-        is a rejected contradiction."""
+        """An explicit --max-inflight must not be silently ignored: it
+        asks for the sharded runtime under auto, and composes with an
+        explicit serial backend instead of contradicting it."""
+        assert main(["run", "--scale", "tiny"]) == 0
+        sequential = capsys.readouterr().out
         assert main(["run", "--scale", "tiny", "--shards", "2",
                      "--max-inflight", "4"]) == 0
-        err = capsys.readouterr().err
-        assert err.count("[shard ") == 2  # sharded progress ran
+        captured = capsys.readouterr()
+        assert captured.err.count("[shard ") == 2  # sharded progress ran
+        assert captured.out == sequential
         assert main(["run", "--scale", "tiny", "--shards", "2",
-                     "--backend", "serial", "--max-inflight", "4"]) == 2
-        assert "max_inflight requires an async backend" in \
-            capsys.readouterr().err
+                     "--backend", "serial", "--max-inflight", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("[shard ") == 2
+        assert captured.out == sequential
 
     def test_explicit_default_max_inflight_still_promotes(self, capsys):
         """--max-inflight 8 (the documented default, given explicitly)
@@ -212,12 +221,12 @@ class TestAsyncBackendFlags:
         assert err.count("[shard ") == 2
 
     def test_async_with_workers_composes_to_process_async(self, capsys):
-        """--backend async --workers N>1 must not silently drop the
-        parallelism; it runs the composed process+async backend."""
+        """--max-inflight with --workers N>1 keeps both: a process pool
+        whose workers each interleave their shard on an event loop."""
         assert main(["run", "--scale", "tiny"]) == 0
         sequential = capsys.readouterr().out
         assert main(["run", "--scale", "tiny", "--shards", "2",
-                     "--workers", "2", "--backend", "async"]) == 0
+                     "--workers", "2", "--max-inflight", "16"]) == 0
         captured = capsys.readouterr()
         assert captured.out == sequential
         assert captured.err.count("[shard ") == 2

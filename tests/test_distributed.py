@@ -23,11 +23,14 @@ import threading
 import pytest
 
 from harness.equivalence import canonical_logbook_bytes
-from repro.runtime import RuntimeConfig, execute_campaign, plan_shards
-from repro.runtime.checkpoint import CheckpointStore, campaign_fingerprint
+from repro.runtime import (RuntimeConfig, execute_campaign, plan_shards,
+                           run_shard)
+from repro.runtime.checkpoint import (CheckpointStore, _shard_to_json,
+                                      campaign_fingerprint)
 from repro.runtime.distributed import (
     FrameError,
     _LeaseBoard,
+    _execute_lease,
     _lease_message,
     _scenario_from_json,
     _serve_connection,
@@ -150,14 +153,14 @@ class TestCodecs:
             assert _spec_from_json(
                 roundtrip(_spec_to_json(spec))) == spec
 
-    def test_lease_message_carries_everything(self, world):
+    def test_lease_message_carries_everything(self, world, monkeypatch):
         from repro.bqt.engine import EngineConfig
         from repro.core.sampling import SamplingPolicy
 
         spec = plan_shards(world, 2, **SUBSET)[0]
         message = _lease_message(
             world.config, spec, SamplingPolicy(min_samples=10),
-            EngineConfig(max_attempts=2), 1, True, 12, 4)
+            EngineConfig(max_attempts=2), 1, 12, 4)
         restored = roundtrip(message)
         assert restored["policy"]["min_samples"] == 10
         assert restored["engine_config"]["max_attempts"] == 2
@@ -166,6 +169,26 @@ class TestCodecs:
         assert restored["max_inflight"] == 12
         assert restored["per_isp_cap"] == 4
         assert _spec_from_json(restored["spec"]) == spec
+        # A sync lease keeps both protocol-1 keys.
+        sync = roundtrip(_lease_message(world.config, spec, None, None, 2,
+                                        None, 1))
+        assert sync["protocol"] == 1
+        assert sync["use_async"] is False and sync["max_inflight"] is None
+
+        # An older coordinator's sync lease carries its default
+        # in-flight bound next to use_async=false: the shard must still
+        # run synchronously, with the same bytes as a sync run_shard.
+        older = dict(sync, max_inflight=8)
+
+        def no_event_loop(*args, **kwargs):
+            raise AssertionError("a sync lease ran on an event loop")
+
+        monkeypatch.setattr("repro.bqt.aio.run_cells_async", no_event_loop)
+        frame = _execute_lease(older)
+        expected = run_shard(world.config, spec, world=world,
+                             max_inflight=None, per_isp_cap=1)
+        assert frame["shard"] == _shard_to_json(expected)
+        assert frame["politeness"] == expected.politeness
 
 
 # ----------------------------------------------------------------------

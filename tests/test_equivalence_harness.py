@@ -1,9 +1,10 @@
 """Differential-equivalence tests: every backend, byte for byte.
 
-Runs a small campaign under serial / process / async / process+async
-and asserts byte-identical merged logbooks, cell-count conservation,
-and politeness-cap compliance — across two scenario shapes and two
-seeds each, so backend drift cannot hide behind one lucky world. These
+Runs a small campaign under serial / process / distributed (serial and
+process also with ``max_inflight``, an event loop per shard) and
+asserts byte-identical merged logbooks, cell-count conservation, and
+politeness-cap compliance — across two scenario shapes and two seeds
+each, so backend drift cannot hide behind one lucky world. These
 are the tests CI's ``pytest -m equivalence`` job runs in isolation.
 """
 
@@ -55,10 +56,10 @@ def test_backends_bit_identical(shape, seed):
 
 
 def test_async_interleaving_actually_happens(world):
-    """The async run must hold >1 session in flight, or it is serial
-    with extra steps — and the politeness assertions above would be
+    """An event-loop run must hold >1 session in flight, or it is
+    serial with extra steps — and the politeness assertions above would be
     vacuous."""
-    config = RuntimeConfig(shards=1, backend="async",
+    config = RuntimeConfig(shards=1, backend="serial",
                            max_inflight=MAX_POLITE_WORKERS_PER_ISP + 4)
     run = run_backend(world, config, **SUBSET)
     assert max(run.politeness.values()) > 1
@@ -68,7 +69,7 @@ def test_async_interleaving_actually_happens(world):
 def test_politeness_cap_honored_with_inflight_above_cap(world):
     """max_inflight far above the cap: the gate, not the loop bound,
     must be what limits per-storefront concurrency."""
-    config = RuntimeConfig(shards=2, backend="async",
+    config = RuntimeConfig(shards=2, backend="serial",
                            max_inflight=4 * MAX_POLITE_WORKERS_PER_ISP)
     run = run_backend(world, config, **SUBSET)
     for isp, peak in run.politeness.items():
@@ -76,13 +77,13 @@ def test_politeness_cap_honored_with_inflight_above_cap(world):
 
 
 def test_equivalence_holds_with_divided_politeness_budget(world):
-    """process+async divides the cap across workers; the division must
-    not change a single byte either."""
+    """A process pool on event loops divides the cap across workers;
+    the division must not change a single byte either."""
     runs = [
         run_backend(world, config, **SUBSET)
         for config in (
             RuntimeConfig(shards=4, backend="serial"),
-            RuntimeConfig(shards=4, workers=4, backend="process+async",
+            RuntimeConfig(shards=4, workers=4, backend="process",
                           max_inflight=6),
         )
     ]
@@ -149,7 +150,7 @@ def test_panel_incremental_analysis_equivalent(shape, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_panel_wave_logbooks_identical_across_backends(shape, seed):
     """Panel wave logbooks must stay byte-identical whichever of the
-    five backends runs the delta collections — the longitudinal column
+    five modes runs the delta collections — the longitudinal column
     crossed with the full backend matrix."""
     world = build_world(SCENARIO_SHAPES[shape](seed))
     assert_panel_backends_equivalent(

@@ -445,11 +445,30 @@ class TestTracingByteEquivalence:
         assert {record["trace_id"] for record in spans} == \
             {derive_trace_id(fingerprint)}
 
+        # The campaign span tells placement and interleaving apart: an
+        # event-loop run of the same campaign differs only in
+        # max_inflight.
+        def campaign_attrs(trace_dir):
+            (campaign,) = [
+                record for record in
+                TraceStore(trace_dir, fingerprint).load_spans()
+                if record["name"] == "campaign"]
+            return campaign["attrs"]
+
+        assert campaign_attrs(tmp_path)["backend"] == "serial"
+        assert campaign_attrs(tmp_path)["max_inflight"] is None
+        looped = tmp_path / "looped"
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(looped))
+        execute_campaign(world, RuntimeConfig(shards=2, backend="serial",
+                                              max_inflight=8), **SUBSET)
+        assert campaign_attrs(looped)["backend"] == "serial"
+        assert campaign_attrs(looped)["max_inflight"] == 8
+
     def test_all_five_backends_bytes_identical_under_tracing(
             self, world, tmp_path, monkeypatch):
         """The acceptance matrix: every execution mode produces the
         same bytes with REPRO_TRACE=1 as the untraced serial run."""
-        from harness.equivalence import backend_matrix
+        from harness.equivalence import backend_matrix, mode_label
 
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         baseline = canonical_logbook_bytes(*execute_campaign(
@@ -460,7 +479,7 @@ class TestTracingByteEquivalence:
             traced = canonical_logbook_bytes(
                 *execute_campaign(world, config, **SUBSET))
             assert traced == baseline, (
-                f"backend {config.effective_backend} bytes diverged "
+                f"mode {mode_label(config)} bytes diverged "
                 f"under REPRO_TRACE=1")
 
 

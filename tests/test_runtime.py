@@ -110,45 +110,53 @@ class TestRuntimeConfig:
                              backend="serial").effective_backend == "serial"
 
     def test_async_backends(self):
-        config = RuntimeConfig(shards=4, backend="async", max_inflight=16)
-        assert config.uses_async
+        """A serial shard on an event loop may use the whole cap; one
+        without ``max_inflight`` drives one session per storefront."""
+        config = RuntimeConfig(shards=4, backend="serial", max_inflight=16)
         assert config.concurrent_shards == 1
         assert config.per_shard_isp_cap == MAX_POLITE_WORKERS_PER_ISP
-        assert not RuntimeConfig(shards=4, workers=2).uses_async
+        assert RuntimeConfig(shards=4, workers=2).per_shard_isp_cap == 1
 
-    def test_max_inflight_promotes_auto_to_async(self):
-        """An explicit in-flight budget is a request for the async
-        engine at the config layer too — not just via the CLI flag."""
-        assert RuntimeConfig(shards=4, max_inflight=16).effective_backend \
-            == "async"
-        assert RuntimeConfig(shards=4, workers=2,
-                             max_inflight=16).effective_backend \
-            == "process+async"
-        # Unset leaves auto resolving to the non-async backends, with
-        # the documented default bound for explicit async backends.
-        assert RuntimeConfig(shards=4).effective_backend == "serial"
-        assert RuntimeConfig(backend="async").effective_max_inflight == 8
-
-    def test_async_with_workers_promotes_to_composed_backend(self):
-        """Requested parallelism must never be silently dropped: async
-        plus workers resolves to process+async at the config layer, so
-        the library and CLI entry points agree."""
-        config = RuntimeConfig(shards=8, workers=4, backend="async")
-        assert config.effective_backend == "process+async"
-        assert config.concurrent_shards == 4
-        # A single worker keeps the plain in-process event loop.
-        assert RuntimeConfig(shards=8, backend="async").effective_backend \
-            == "async"
+    @pytest.mark.parametrize("max_inflight", [None, 16])
+    @pytest.mark.parametrize("backend, resolved, concurrent", [
+        ("auto", "process", 4),
+        ("serial", "serial", 1),
+        ("process", "process", 4),
+        ("distributed", "distributed", 4),
+    ])
+    def test_max_inflight_is_orthogonal_to_placement(
+            self, backend, resolved, concurrent, max_inflight):
+        """``max_inflight`` never changes where shards run, on any
+        backend, and the per-ISP budget it unlocks is divided across
+        the shards that backend runs at once."""
+        config = RuntimeConfig(shards=8, workers=4, backend=backend,
+                               max_inflight=max_inflight)
+        assert config.effective_backend == resolved
+        assert config.concurrent_shards == concurrent
+        assert (config.per_shard_isp_cap * config.concurrent_shards
+                <= MAX_POLITE_WORKERS_PER_ISP)
+        if max_inflight is None:
+            assert config.per_shard_isp_cap == 1
+        else:
+            assert config.per_shard_isp_cap == \
+                MAX_POLITE_WORKERS_PER_ISP // concurrent
+        # One worker: auto stays in process, and so does the budget.
+        single = RuntimeConfig(shards=8, backend=backend,
+                               max_inflight=max_inflight)
+        assert single.effective_backend == (
+            "serial" if backend == "auto" else backend)
+        assert single.concurrent_shards == 1
 
     def test_politeness_budget_divided_across_workers(self):
-        config = RuntimeConfig(shards=8, workers=4, backend="process+async")
+        config = RuntimeConfig(shards=8, workers=4, backend="process",
+                               max_inflight=8)
         assert config.concurrent_shards == 4
         assert config.per_shard_isp_cap == MAX_POLITE_WORKERS_PER_ISP // 4
         assert (config.per_shard_isp_cap * config.concurrent_shards
                 <= MAX_POLITE_WORKERS_PER_ISP)
         # Even more workers than cap tokens: everyone still gets one.
-        crowded = RuntimeConfig(shards=64, workers=64,
-                                backend="process+async")
+        crowded = RuntimeConfig(shards=64, workers=64, backend="process",
+                                max_inflight=8)
         assert crowded.per_shard_isp_cap == 1
 
     def test_non_async_shards_drive_one_session(self):
@@ -158,16 +166,14 @@ class TestRuntimeConfig:
     def test_distributed_backend_config(self):
         """Distributed workers are sync by default; ``max_inflight``
         opts each worker's shard onto an event loop, with the
-        politeness budget divided across the fleet as for
-        process+async."""
+        politeness budget divided across the fleet as for a process
+        pool."""
         config = RuntimeConfig(shards=8, workers=4, backend="distributed")
         assert config.effective_backend == "distributed"
         assert config.concurrent_shards == 4
-        assert not config.uses_async
         assert config.per_shard_isp_cap == 1
         interleaved = RuntimeConfig(shards=8, workers=4,
                                     backend="distributed", max_inflight=6)
-        assert interleaved.uses_async
         assert interleaved.per_shard_isp_cap == \
             MAX_POLITE_WORKERS_PER_ISP // 4
         assert (interleaved.per_shard_isp_cap
@@ -179,13 +185,13 @@ class TestRuntimeConfig:
             RuntimeConfig(shards=0)
         with pytest.raises(ValueError):
             RuntimeConfig(workers=0)
-        with pytest.raises(ValueError):
-            RuntimeConfig(backend="threads")
+        for backend in ("threads", "async", "process+async"):
+            with pytest.raises(ValueError):
+                RuntimeConfig(backend=backend)
         with pytest.raises(ValueError):
             RuntimeConfig(max_inflight=0)
         with pytest.raises(ValueError):
-            # An in-flight budget contradicts a non-async backend.
-            RuntimeConfig(backend="process", max_inflight=4)
+            RuntimeConfig(backend="process", max_inflight=0)
         with pytest.raises(ValueError):
             RuntimeConfig(resume=True)  # resume needs a checkpoint_dir
 
@@ -239,7 +245,7 @@ class TestEquivalence:
 
     def test_async_backend(self, world, subset_baseline):
         collection, q3 = execute_campaign(
-            world, RuntimeConfig(shards=3, backend="async", max_inflight=16),
+            world, RuntimeConfig(shards=3, backend="serial", max_inflight=16),
             **SUBSET)
         baseline_collection, baseline_q3 = subset_baseline
         assert log_keys(collection.log) == log_keys(baseline_collection.log)
@@ -248,7 +254,7 @@ class TestEquivalence:
     def test_on_progress_reports_every_shard(self, world):
         seen: list[tuple[int, int, int, bool]] = []
         execute_campaign(
-            world, RuntimeConfig(shards=3, backend="async"),
+            world, RuntimeConfig(shards=3, backend="serial", max_inflight=8),
             on_progress=lambda done, total, r, restored: seen.append(
                 (done, total, r.index, restored)),
             **SUBSET)
@@ -367,10 +373,10 @@ class TestCheckpointResume:
 
     def test_async_backend_killed_and_resumed_matches_uninterrupted(
             self, world, subset_baseline, tmp_path, monkeypatch):
-        """The PR-2 satellite: kill an async run after N shards, resume
-        it, and the merged output must equal an uninterrupted run."""
+        """Kill an event-loop run after N shards, resume it, and the
+        merged output must equal an uninterrupted run."""
         shard_dir = str(tmp_path / "ckpt-async")
-        config = RuntimeConfig(shards=4, backend="async", max_inflight=12,
+        config = RuntimeConfig(shards=4, backend="serial", max_inflight=12,
                                checkpoint_dir=shard_dir)
         executed: list[int] = []
 
@@ -388,7 +394,7 @@ class TestCheckpointResume:
         assert len(executed) == 2
         monkeypatch.setattr(executor_module, "run_shard", run_shard)
 
-        resumed = RuntimeConfig(shards=4, backend="async", max_inflight=12,
+        resumed = RuntimeConfig(shards=4, backend="serial", max_inflight=12,
                                 checkpoint_dir=shard_dir, resume=True)
         collection, q3 = execute_campaign(world, resumed, **SUBSET)
         baseline_collection, baseline_q3 = subset_baseline
@@ -710,10 +716,11 @@ class TestCacheEviction:
 
 class TestPendingAwareBudget:
     def test_resumed_tail_gets_full_headroom(self):
-        """A process+async tail with one shard left runs alone, so it
-        may use the whole politeness cap instead of a fleet-divided
-        slice."""
-        config = RuntimeConfig(shards=8, workers=4, backend="process+async")
+        """An event-loop process-pool tail with one shard left runs
+        alone, so it may use the whole politeness cap instead of a
+        fleet-divided slice."""
+        config = RuntimeConfig(shards=8, workers=4, backend="process",
+                               max_inflight=8)
         assert config.per_shard_isp_cap == MAX_POLITE_WORKERS_PER_ISP // 4
         assert config.per_shard_isp_cap_for(8) == config.per_shard_isp_cap
         assert config.per_shard_isp_cap_for(2) == MAX_POLITE_WORKERS_PER_ISP // 2

@@ -16,11 +16,13 @@ classic multi-year measurement studies. Each wave:
    whose world parts churn shared) carries the prior digest forward
    unencoded — sound because the truth objects are frozen — so only
    cells churn touched are encoded and hashed;
-3. **executes** the changed cells through the ordinary runtime
-   dispatcher (:func:`repro.runtime.executor.dispatch_shards` — every
-   backend — serial, process, distributed — with or without
-   ``max_inflight``; per-wave shard checkpoints and ``resume``):
-   forked pool workers inherit the evolved world, and workers in a fresh interpreter are shipped a
+3. **executes** the changed cells through the one shard loop every
+   campaign runs (:func:`repro.runtime.executor.dispatch_shards` —
+   every backend — serial, process, distributed — with or without
+   ``max_inflight``; a runtime-less panel is one serial shard; the
+   wave's checkpoint store is its shard log, so ``resume`` restores
+   completed delta shards): forked pool workers inherit the evolved
+   world, and workers in a fresh interpreter are shipped a
    :class:`~repro.synth.churn.WaveScenario` so they can rebuild it;
 4. **merges** replayed + fresh cells through the runtime's canonical
    merge, producing a wave logbook byte-identical to a from-scratch
@@ -63,13 +65,8 @@ from repro.obs.trace import (
     tracing_enabled,
 )
 from repro.runtime.cache import content_digest
-from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.executor import (
-    RuntimeConfig,
-    ShardResult,
-    dispatch_shards,
-    run_shard,
-)
+from repro.runtime.checkpoint import checkpoint_log
+from repro.runtime.executor import RuntimeConfig, ShardResult, dispatch_shards
 from repro.runtime.merge import merge_shard_results
 from repro.runtime.shards import DEFAULT_ISPS, ShardSpec, deal_shards
 from repro.synth.churn import ChurnModel, WaveScenario, churned_world
@@ -339,51 +336,23 @@ class PanelCampaign:
         if delta.is_empty:
             return fresh
         scenario = self._wave_scenario(horizon)
-        config = self._runtime
-        if config is None:
-            spec = ShardSpec(index=0, count=1,
-                             q12_cells=delta.changed_q12,
-                             q3_blocks=delta.changed_q3)
-            return run_shard(scenario, spec, policy=self._policy,
-                             engine_config=self._engine_config,
-                             max_replacements=self._max_replacements,
-                             world=world)
-        specs = self._plan_delta_shards(delta, config.shards)
-        completed: dict[int, ShardResult] = {}
-        checkpoints: CheckpointStore | None = None
-        if config.checkpoint_dir is not None:
-            fingerprint = self._delta_fingerprint(scenario, delta,
-                                                  len(specs))
-            checkpoints = CheckpointStore(config.checkpoint_dir, fingerprint)
-            if config.resume:
-                completed = checkpoints.load_completed()
-            else:
-                checkpoints.clear()
-
-        def on_complete(result: ShardResult) -> None:
-            completed[result.index] = result
-            if checkpoints is not None:
-                checkpoints.save_shard(result)
-
-        pending = [spec for spec in specs if spec.index not in completed]
-        dispatch_shards(world, pending, config, on_complete,
-                        policy=self._policy,
-                        engine_config=self._engine_config,
-                        max_replacements=self._max_replacements,
-                        scenario=scenario)
+        config = self._runtime or RuntimeConfig()
+        # Dealt round-robin like the full planner (one shard keeps the
+        # delta's cell order), never onto more shards than cells.
+        changed = len(delta.changed_q12) + len(delta.changed_q3)
+        specs = deal_shards(list(delta.changed_q12), list(delta.changed_q3),
+                            min(config.shards, changed))
+        log = checkpoint_log(config, self._delta_fingerprint(
+            scenario, delta, len(specs)))
+        completed = dispatch_shards(world, specs, config, log,
+                                    policy=self._policy,
+                                    engine_config=self._engine_config,
+                                    max_replacements=self._max_replacements,
+                                    scenario=scenario)
         for result in completed.values():
             fresh.q12_records.update(result.q12_records)
             fresh.q3_outcomes.update(result.q3_outcomes)
         return fresh
-
-    @staticmethod
-    def _plan_delta_shards(delta: DeltaPlan,
-                           shard_count: int) -> list[ShardSpec]:
-        """Deal the changed cells round-robin, like the full planner."""
-        count = max(1, min(shard_count,
-                           len(delta.changed_q12) + len(delta.changed_q3)))
-        return deal_shards(list(delta.changed_q12),
-                           list(delta.changed_q3), count)
 
     def _delta_fingerprint(self, scenario, delta: DeltaPlan,
                            shard_count: int) -> str:

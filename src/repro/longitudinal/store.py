@@ -55,7 +55,12 @@ from repro.runtime.atomicio import (
     sweep_stale_tmp_files,
 )
 from repro.runtime.cache import canonical_json, content_digest
-from repro.runtime.checkpoint import _record_from_json, _record_to_json
+from repro.runtime.checkpoint import (
+    _q3_entry,
+    _q3_from_entry,
+    _q12_entry,
+    _q12_from_entry,
+)
 from repro.runtime.storebase import FingerprintNamespacedStore
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,42 +71,6 @@ __all__ = ["PanelStore"]
 
 FORMAT_VERSION = 2
 _CELLS_SUBDIR = "cells"
-
-
-def _q12_payload(cell, records) -> dict:
-    return {
-        "kind": "q12",
-        "isp_id": cell.isp_id,
-        "state": cell.state,
-        "cbg": cell.cbg,
-        "records": [_record_to_json(r) for r in records],
-    }
-
-
-def _q3_payload(block: str, outcome) -> dict:
-    return {
-        "kind": "q3",
-        "block_geoid": block,
-        "outcome": None if outcome is None else {
-            "incumbent_isp_id": outcome.incumbent_isp_id,
-            "records": [_record_to_json(r) for r in outcome.records],
-            "modes": outcome.modes,
-        },
-    }
-
-
-def _q3_outcome_from_payload(payload: dict):
-    from repro.core.collection import Q3BlockOutcome
-
-    outcome = payload["outcome"]
-    if outcome is None:
-        return None
-    return Q3BlockOutcome(
-        block_geoid=payload["block_geoid"],
-        incumbent_isp_id=outcome["incumbent_isp_id"],
-        records=tuple(_record_from_json(r) for r in outcome["records"]),
-        modes=dict(outcome["modes"]),
-    )
 
 
 class PanelStore(FingerprintNamespacedStore):
@@ -147,13 +116,15 @@ class PanelStore(FingerprintNamespacedStore):
         for cell, digest in digests.q12.items():
             path = self.cell_path(digest)
             if not path.exists():
-                yield path, self._cell_document(
-                    digest, _q12_payload(cell, cells.q12_records[cell]))
+                yield path, self._cell_document(digest, {
+                    "kind": "q12",
+                    **_q12_entry(cell, cells.q12_records[cell])})
         for block, digest in digests.q3.items():
             path = self.cell_path(digest)
             if not path.exists():
-                yield path, self._cell_document(
-                    digest, _q3_payload(block, cells.q3_outcomes[block]))
+                yield path, self._cell_document(digest, {
+                    "kind": "q3",
+                    **_q3_entry(block, cells.q3_outcomes[block])})
 
     def save_wave(
         self,
@@ -240,7 +211,6 @@ class PanelStore(FingerprintNamespacedStore):
 
     def _assemble_from_cas(self, document: dict) -> "ShardResult | None":
         from repro.runtime.executor import ShardResult
-        from repro.runtime.shards import Q12Cell
 
         refs = document.get("cells")
         if (not isinstance(refs, dict)
@@ -261,9 +231,8 @@ class PanelStore(FingerprintNamespacedStore):
                     # existing file and the wave could never heal.
                     self.cell_path(digest).unlink(missing_ok=True)
                     return None
-                cell = Q12Cell(isp_id=isp_id, state=state, cbg=cbg)
-                result.q12_records[cell] = tuple(
-                    _record_from_json(r) for r in payload["records"])
+                cell, records = _q12_from_entry(payload)
+                result.q12_records[cell] = records
             for block, digest in refs["q3"]:
                 payload = self._load_cell_payload(digest)
                 if payload is None:
@@ -272,7 +241,7 @@ class PanelStore(FingerprintNamespacedStore):
                         or payload["block_geoid"] != block):
                     self.cell_path(digest).unlink(missing_ok=True)
                     return None
-                result.q3_outcomes[block] = _q3_outcome_from_payload(payload)
+                result.q3_outcomes[block] = _q3_from_entry(payload)[1]
         except (KeyError, TypeError, ValueError):
             return None
         return result

@@ -15,7 +15,9 @@ processes that stream checksummed results back over sockets
 coordinator-side autotuner that sizes the fleet for a target
 wall-clock), checkpoints completed shards crash-safely so an
 interrupted run resumes without recomputation (:mod:`~repro.runtime
-.checkpoint`), and content-addresses finished audits so repeated
+.checkpoint`; every campaign restores from and records to its shard
+log in the one loop, :func:`~repro.runtime.executor.dispatch_shards`),
+and content-addresses finished audits so repeated
 ``ExperimentContext`` builds reuse one run (:mod:`~repro.runtime
 .cache`, which also caches world builds by scenario and evicts
 least-recently-used entries past ``REPRO_CACHE_MAX_BYTES``).

@@ -45,6 +45,7 @@ from repro.synth.scenario import ScenarioConfig
 __all__ = [
     "CheckpointStore",
     "campaign_fingerprint",
+    "checkpoint_log",
     "shard_record",
     "verified_shard",
 ]
@@ -132,30 +133,54 @@ def _record_from_json(data: dict) -> QueryRecord:
     )
 
 
+def _q12_entry(cell: Q12Cell, records) -> dict:
+    """One Q1/Q2 cell and its record stream, as a JSON object."""
+    return {
+        "isp_id": cell.isp_id,
+        "state": cell.state,
+        "cbg": cell.cbg,
+        "records": [_record_to_json(r) for r in records],
+    }
+
+
+def _q12_from_entry(entry: dict) -> tuple[Q12Cell, tuple[QueryRecord, ...]]:
+    """Inverse of :func:`_q12_entry`."""
+    cell = Q12Cell(isp_id=entry["isp_id"], state=entry["state"],
+                   cbg=entry["cbg"])
+    return cell, tuple(_record_from_json(r) for r in entry["records"])
+
+
+def _q3_entry(block: str, outcome: Q3BlockOutcome | None) -> dict:
+    """One Q3 block and its outcome (``None``: not analyzed)."""
+    return {
+        "block_geoid": block,
+        "outcome": None if outcome is None else {
+            "incumbent_isp_id": outcome.incumbent_isp_id,
+            "records": [_record_to_json(r) for r in outcome.records],
+            "modes": outcome.modes,
+        },
+    }
+
+
+def _q3_from_entry(entry: dict) -> tuple[str, Q3BlockOutcome | None]:
+    """Inverse of :func:`_q3_entry`."""
+    block, outcome = entry["block_geoid"], entry["outcome"]
+    if outcome is None:
+        return block, None
+    return block, Q3BlockOutcome(
+        block_geoid=block, incumbent_isp_id=outcome["incumbent_isp_id"],
+        records=tuple(_record_from_json(r) for r in outcome["records"]),
+        modes=dict(outcome["modes"]))
+
+
 def _shard_to_json(result: "ShardResult") -> dict:
     return {
         "index": result.index,
         "count": result.count,
-        "q12": [
-            {
-                "isp_id": cell.isp_id,
-                "state": cell.state,
-                "cbg": cell.cbg,
-                "records": [_record_to_json(r) for r in records],
-            }
-            for cell, records in result.q12_records.items()
-        ],
-        "q3": [
-            {
-                "block_geoid": block,
-                "outcome": None if outcome is None else {
-                    "incumbent_isp_id": outcome.incumbent_isp_id,
-                    "records": [_record_to_json(r) for r in outcome.records],
-                    "modes": outcome.modes,
-                },
-            }
-            for block, outcome in result.q3_outcomes.items()
-        ],
+        "q12": [_q12_entry(cell, records)
+                for cell, records in result.q12_records.items()],
+        "q3": [_q3_entry(block, outcome)
+               for block, outcome in result.q3_outcomes.items()],
     }
 
 
@@ -163,24 +188,8 @@ def _shard_from_json(data: dict) -> "ShardResult":
     from repro.runtime.executor import ShardResult
 
     result = ShardResult(index=data["index"], count=data["count"])
-    for entry in data["q12"]:
-        cell = Q12Cell(isp_id=entry["isp_id"], state=entry["state"],
-                       cbg=entry["cbg"])
-        result.q12_records[cell] = tuple(
-            _record_from_json(r) for r in entry["records"])
-    for entry in data["q3"]:
-        block = entry["block_geoid"]
-        outcome = entry["outcome"]
-        if outcome is None:
-            result.q3_outcomes[block] = None
-        else:
-            result.q3_outcomes[block] = Q3BlockOutcome(
-                block_geoid=block,
-                incumbent_isp_id=outcome["incumbent_isp_id"],
-                records=tuple(_record_from_json(r)
-                              for r in outcome["records"]),
-                modes=dict(outcome["modes"]),
-            )
+    result.q12_records.update(_q12_from_entry(e) for e in data["q12"])
+    result.q3_outcomes.update(_q3_from_entry(e) for e in data["q3"])
     return result
 
 
@@ -301,3 +310,15 @@ class CheckpointStore(FingerprintNamespacedStore):
             directory.rmdir()
         except OSError:
             pass  # unexpected extra files: leave them alone
+
+
+def checkpoint_log(config: "RuntimeConfig",
+                   fingerprint: str) -> CheckpointStore | None:
+    """A run's checkpoint store as its shard log: ``None`` without a
+    ``checkpoint_dir``, cleared of earlier shards unless resuming."""
+    if config.checkpoint_dir is None:
+        return None
+    store = CheckpointStore(config.checkpoint_dir, fingerprint)
+    if not config.resume:
+        store.clear()
+    return store

@@ -9,6 +9,13 @@ interleaved on a per-shard asyncio event loop, checkpoint completed
 shards, and merge the shard logs back into campaign results that are
 bit-identical to the sequential loops in :mod:`repro.core.collection`.
 
+:func:`dispatch_shards` is the one restore → run → record loop of
+:func:`execute_campaign`, the longitudinal delta waves and the audit
+service. It keeps completed shards in a *shard log*: any object with
+``load_completed() -> dict[int, ShardResult]`` and
+``save_shard(result)`` — a :class:`~repro.runtime.checkpoint
+.CheckpointStore`, or the service journal behind a small adapter.
+
 Politeness is enforced the way the paper's fleet enforced it, whatever
 the backend:
 
@@ -294,31 +301,53 @@ def run_shard(
 
 def dispatch_shards(
     world: World,
-    pending: list[ShardSpec],
+    specs: list[ShardSpec],
     config: RuntimeConfig,
-    on_complete,
+    log=None,
+    on_progress: ProgressCallback | None = None,
     policy: SamplingPolicy | None = None,
     engine_config: EngineConfig | None = None,
     max_replacements: int = 2,
     scenario=None,
-) -> None:
-    """Run ``pending`` shard specs on the configured backend.
+) -> dict[int, ShardResult]:
+    """Run a campaign's shards, restoring from and recording to ``log``.
 
-    The execution core shared by :func:`execute_campaign` and the
-    longitudinal delta collector (:mod:`repro.longitudinal.campaign`),
-    which runs arbitrary *subsets* of a campaign's cells. ``scenario``
-    is the world recipe shipped to worker processes and the key forked
-    pool workers find ``world`` under; it defaults to ``world.config``
-    and must be overridden (with a
+    The shard loop (see the module docstring): shards ``log`` holds are
+    restored, the rest run on the configured backend and are saved to
+    ``log`` as each completes (a ``save_shard`` that raises fails the
+    run). Returns every shard's result by index. ``on_progress`` fires
+    once per shard, restored ones first in index order.
+
+    ``scenario`` is the world recipe shipped to worker processes and
+    the key forked pool workers find ``world`` under; it defaults to
+    ``world.config`` and must be overridden (with a
     :class:`~repro.synth.churn.WaveScenario`) when ``world`` is an
     evolved wave world that its config alone cannot rebuild, since
     workers that do not inherit ``world`` rebuild it from the recipe.
-
-    ``on_complete`` fires once per finished shard, serialized, in
-    completion order.
     """
+    completed: dict[int, ShardResult] = {}
+    if log is not None:
+        with span("campaign.restore"):
+            completed = log.load_completed()
+    _METRICS.counter("shards_restored_total").inc(len(completed))
+    total = len(specs)
+    if on_progress is not None:
+        for position, index in enumerate(sorted(completed), start=1):
+            on_progress(position, total, completed[index], True)
+    pending = [spec for spec in specs if spec.index not in completed]
+    _METRICS.counter("shards_dispatched_total").inc(len(pending))
     if not pending:
-        return
+        return completed
+    completions = _METRICS.counter("shards_completed_total")
+
+    def on_complete(result: ShardResult) -> None:
+        if log is not None:
+            log.save_shard(result)
+        completed[result.index] = result
+        completions.inc()
+        if on_progress is not None:
+            on_progress(len(completed), total, result, False)
+
     scenario = scenario if scenario is not None else world.config
     # Budget for the shards actually left to run: a resumed tail gets
     # the politeness headroom its smaller in-flight count allows.
@@ -331,7 +360,7 @@ def dispatch_shards(
                                on_complete,
                                lease_timeout=config.lease_timeout,
                                scenario=scenario)
-        return
+        return completed
     # run_shard is looked up now, not at import, so a patched module
     # attribute reaches in-process shards and forked workers alike.
     job = functools.partial(
@@ -341,7 +370,7 @@ def dispatch_shards(
     if config.concurrent_shards == 1 or len(pending) == 1:
         for spec in pending:
             on_complete(job(spec, world=world))
-        return
+        return completed
     # Workers fork while the cache holds the coordinator's world, so
     # their _world_for hits; the finally keeps the coordinator from
     # holding the world past the campaign.
@@ -355,6 +384,7 @@ def dispatch_shards(
                 on_complete(future.result())
     finally:
         _WORLD_CACHE.clear()
+    return completed
 
 
 def execute_campaign(
@@ -370,22 +400,16 @@ def execute_campaign(
 ) -> tuple[CollectionResult, Q3Collection]:
     """Run the full campaign under a runtime configuration.
 
-    Plans the shard partition, restores any checkpointed shards when
-    ``config.resume`` is set, runs the remainder on the configured
-    backend (checkpointing each shard as it completes), and merges the
-    shard results in canonical order. For a fixed world seed the merged
-    results are bit-identical to the sequential
+    Plans the shard partition, runs it through :func:`dispatch_shards`
+    with the campaign's checkpoint store (if any) as its shard log, and
+    merges the shard results in canonical order. For a fixed world seed
+    the merged results are bit-identical to the sequential
     :class:`~repro.core.collection.CollectionCampaign` /
     :func:`~repro.core.collection.collect_q3_dataset` path, for any
-    shard count and every backend.
-
-    ``on_progress`` (when given) fires after each newly completed
-    shard with ``(completed, total, result, restored)`` — the CLI uses
-    it for per-shard progress and ETA lines. Shards restored from a
-    checkpoint fire with ``restored=True`` (in index order, before any
-    shard executes) so rate estimators can exclude them.
+    shard count and every backend. ``on_progress`` (the CLI's per-shard
+    progress and ETA lines) is passed to :func:`dispatch_shards`.
     """
-    from repro.runtime.checkpoint import CheckpointStore, campaign_fingerprint
+    from repro.runtime.checkpoint import campaign_fingerprint, checkpoint_log
     from repro.runtime.merge import merge_shard_results
 
     fingerprint = campaign_fingerprint(
@@ -400,39 +424,11 @@ def execute_campaign(
         with span("campaign.plan"):
             specs = plan_shards(world, config.shards, isps=isps,
                                 states=states, q3_states=q3_states)
-        completed: dict[int, ShardResult] = {}
-
-        store: CheckpointStore | None = None
-        if config.checkpoint_dir is not None:
-            store = CheckpointStore(config.checkpoint_dir, fingerprint)
-            if config.resume:
-                with span("campaign.restore"):
-                    completed = store.load_completed()
-                _METRICS.counter("shards_restored_total").inc(len(completed))
-                if on_progress is not None:
-                    for position, index in enumerate(sorted(completed),
-                                                     start=1):
-                        on_progress(position, len(specs),
-                                    completed[index], True)
-            else:
-                store.clear()
-
-        completions = _METRICS.counter("shards_completed_total")
-
-        def on_complete(result: ShardResult) -> None:
-            completed[result.index] = result
-            if store is not None:
-                store.save_shard(result)
-            completions.inc()
-            if on_progress is not None:
-                on_progress(len(completed), len(specs), result, False)
-
-        pending = [spec for spec in specs if spec.index not in completed]
-        _METRICS.counter("shards_dispatched_total").inc(len(pending))
-        with span("campaign.dispatch", shards=len(pending)):
-            dispatch_shards(world, pending, config, on_complete,
-                            policy=policy, engine_config=engine_config,
-                            max_replacements=max_replacements)
+        with span("campaign.dispatch", shards=len(specs)):
+            completed = dispatch_shards(
+                world, specs, config, checkpoint_log(config, fingerprint),
+                on_progress, policy=policy, engine_config=engine_config,
+                max_replacements=max_replacements)
 
         with span("campaign.merge"):
             merged = merge_shard_results(

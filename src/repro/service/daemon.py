@@ -6,9 +6,9 @@ framed-socket protocol (:func:`~repro.runtime.distributed.read_frame`
 / :func:`~repro.runtime.distributed.write_frame` — same frames, same
 transports: a Unix socket path or TCP ``host:port``), accepts
 campaign and panel *submissions* into a queue, and drives them
-in-process through the ordinary runtime — ``dispatch_shards`` for
-campaigns, :class:`~repro.longitudinal.campaign.PanelCampaign` for
-panels.
+in-process through the ordinary runtime — campaigns through
+``dispatch_shards`` with the journal as their shard log, panels
+through :class:`~repro.longitudinal.campaign.PanelCampaign`.
 
 Every lifecycle step is an entry in the hash-chained
 :class:`~repro.service.journal.Journal`, and the journal is the
@@ -60,6 +60,8 @@ import tempfile
 import threading
 from pathlib import Path
 
+from repro.bqt.engine import EngineConfig
+from repro.core.sampling import SamplingPolicy
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.trace import (
     BUFFER as _TRACE_BUFFER,
@@ -71,6 +73,11 @@ from repro.obs.trace import (
     tracing_enabled,
 )
 from repro.runtime.cache import content_digest
+from repro.runtime.checkpoint import (
+    _record_to_json,
+    campaign_fingerprint,
+    shard_record,
+)
 from repro.runtime.distributed import (
     PROTOCOL_VERSION,
     FrameError,
@@ -79,8 +86,11 @@ from repro.runtime.distributed import (
     read_frame,
     write_frame,
 )
+from repro.runtime.executor import RuntimeConfig, dispatch_shards
+from repro.runtime.shards import DEFAULT_ISPS
 from repro.service.journal import CoordinatorState, Journal, service_fingerprint
 from repro.service.reader import ServiceReader
+from repro.synth.scenario import ScenarioConfig
 
 __all__ = ["AuditService", "ServiceClient", "validate_spec"]
 
@@ -95,12 +105,64 @@ _MAX_PULL_ENTRIES = 256
 _JOB_KINDS = ("campaign", "panel")
 
 
+def _int_at_least(spec: dict, name: str, default: int, floor: int) -> int:
+    value = spec.get(name, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < floor:
+        raise ValueError(f"spec {name} must be an integer >= {floor}")
+    return value
+
+
+def _subset(spec: dict, name: str, allowed: tuple[str, ...]):
+    """``spec[name]`` as a tuple drawn from ``allowed``; ``None`` if unset."""
+    values = spec.get(name)
+    if not values:
+        return None
+    if (not isinstance(values, (list, tuple))
+            or any(value not in allowed for value in values)):
+        raise ValueError(f"spec {name} must be a list drawn from "
+                         f"{list(allowed)}")
+    return tuple(values)
+
+
+def _job_inputs(spec: dict) -> tuple[ScenarioConfig, dict]:
+    """A submission's scenario and campaign inputs, decoded and checked.
+
+    The one parser of a job's inputs — :func:`validate_spec` runs it at
+    the socket, the job runners on the journaled spec — so a job is
+    refused exactly when it could not run. ``ValueError`` on junk.
+    """
+    from repro.synth.churn import ChurnModel
+
+    try:
+        scenario = _scenario_from_json(spec["scenario"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"spec scenario does not decode: {error}") \
+            from None
+    if not isinstance(scenario, ScenarioConfig):
+        raise ValueError("spec scenario must be a base scenario")
+    inputs = {
+        "isps": _subset(spec, "isps", DEFAULT_ISPS) or DEFAULT_ISPS,
+        "states": _subset(spec, "states", scenario.states),
+        "q3_states": _subset(spec, "q3_states", scenario.q3_states),
+        "max_replacements": _int_at_least(spec, "max_replacements", 2, 0),
+    }
+    for name, kind in (("policy", SamplingPolicy),
+                       ("engine_config", EngineConfig),
+                       ("model", ChurnModel)):
+        try:
+            inputs[name] = kind(**spec[name]) if spec.get(name) else None
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"spec {name} does not decode: {error}") \
+                from None
+    return scenario, inputs
+
+
 def validate_spec(spec) -> dict:
     """Normalize one submission spec; raises ``ValueError`` on junk.
 
     A spec is ``{"kind": "campaign"|"panel", "scenario": {...}, ...}``
-    with the scenario in the distributed protocol's JSON form. The
-    scenario is decoded *now* — a submission the runtime cannot
+    with the scenario in the distributed protocol's JSON form. Every
+    campaign input is decoded *now* — a submission the runtime cannot
     execute must be refused at the socket, not discovered as a failed
     job hours later.
     """
@@ -110,16 +172,8 @@ def validate_spec(spec) -> dict:
     if kind not in _JOB_KINDS:
         raise ValueError(f"spec kind must be one of {_JOB_KINDS}, "
                          f"got {kind!r}")
-    scenario = spec.get("scenario")
-    if not isinstance(scenario, dict):
-        raise ValueError("spec needs a scenario object")
-    try:
-        _scenario_from_json(scenario)
-    except (KeyError, TypeError, ValueError) as error:
-        raise ValueError(f"spec scenario does not decode: {error}") from None
-    shards = spec.get("shards", 1)
-    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-        raise ValueError("spec shards must be a positive integer")
+    _job_inputs(spec)
+    shards = _int_at_least(spec, "shards", 1, 1)
     if kind == "panel":
         horizons = spec.get("horizons", [1])
         if (not isinstance(horizons, list) or not horizons
@@ -131,6 +185,27 @@ def validate_spec(spec) -> dict:
     normalized["kind"] = kind
     normalized["shards"] = shards
     return normalized
+
+
+class _JobShardLog:
+    """A campaign job's shard log (see :func:`dispatch_shards`): the
+    journal's ``shard-completed`` entries, appended through the
+    service's append-and-fold path."""
+
+    def __init__(self, service: "AuditService", job_id: str,
+                 fingerprint: str):
+        self._service = service
+        self._job_id = job_id
+        self._fingerprint = fingerprint
+
+    def load_completed(self) -> dict:
+        return self._service.journal.completed_shard_results(
+            self._fingerprint)
+
+    def save_shard(self, result) -> None:
+        self._service._record({"kind": "shard-completed",
+                               "job": self._job_id,
+                               **shard_record(self._fingerprint, result)})
 
 
 class AuditService:
@@ -474,55 +549,32 @@ class AuditService:
 
     def _run_campaign(self, job_id: str, spec: dict) -> dict:
         """One campaign job, journal-checkpointed shard by shard."""
-        from repro.bqt.engine import EngineConfig
-        from repro.core.sampling import SamplingPolicy
-        from repro.runtime.checkpoint import (
-            _record_to_json,
-            campaign_fingerprint,
-            shard_record,
-        )
-        from repro.runtime.executor import RuntimeConfig, dispatch_shards
         from repro.runtime.merge import merge_shard_results
-        from repro.runtime.shards import DEFAULT_ISPS, plan_shards
+        from repro.runtime.shards import plan_shards
         from repro.synth.world import build_world
 
-        scenario = _scenario_from_json(spec["scenario"])
+        scenario, inputs = _job_inputs(spec)
+        policy = inputs["policy"]
+        scope = {name: inputs[name] for name in ("isps", "states",
+                                                 "q3_states")}
         world = build_world(scenario)
         shards = spec["shards"]
-        policy = (SamplingPolicy(**spec["policy"])
-                  if spec.get("policy") else None)
-        engine_config = (EngineConfig(**spec["engine_config"])
-                         if spec.get("engine_config") else None)
-        isps = tuple(spec.get("isps") or DEFAULT_ISPS)
-        states = tuple(spec["states"]) if spec.get("states") else None
-        q3_states = tuple(spec["q3_states"]) if spec.get("q3_states") else None
-        max_replacements = int(spec.get("max_replacements", 2))
         fingerprint = campaign_fingerprint(
-            scenario, policy, isps, shards, states=states,
-            q3_states=q3_states, max_replacements=max_replacements)
+            scenario, policy, shard_count=shards,
+            max_replacements=inputs["max_replacements"], **scope)
         self._record({"kind": "campaign-planned", "job": job_id,
                       "fingerprint": fingerprint, "shards": shards})
-        # The journal-backed resume: shards this journal already holds
-        # (from a previous life of this daemon) replay instead of
-        # re-executing — the journal is the checkpoint store here.
-        completed = self._journal.completed_shard_results(fingerprint)
-        specs = plan_shards(world, shards, isps=isps, states=states,
-                            q3_states=q3_states)
-
-        def on_complete(result) -> None:
-            self._record({"kind": "shard-completed", "job": job_id,
-                          **shard_record(fingerprint, result)})
-            completed[result.index] = result
-
-        pending = [s for s in specs if s.index not in completed]
-        dispatch_shards(world, pending,
-                        RuntimeConfig(shards=shards, backend="serial"),
-                        on_complete, policy=policy,
-                        engine_config=engine_config,
-                        max_replacements=max_replacements)
-        collection, q3 = merge_shard_results(
-            world, specs, completed, policy=policy, isps=isps,
-            states=states, q3_states=q3_states)
+        specs = plan_shards(world, shards, **scope)
+        # The journal is this daemon's shard log: shards it already
+        # holds (from a previous life of the daemon) replay instead of
+        # re-executing.
+        completed = dispatch_shards(
+            world, specs, RuntimeConfig(shards=shards, backend="serial"),
+            _JobShardLog(self, job_id, fingerprint), policy=policy,
+            engine_config=inputs["engine_config"],
+            max_replacements=inputs["max_replacements"])
+        collection, q3 = merge_shard_results(world, specs, completed,
+                                             policy=policy, **scope)
         logbook_sha = content_digest({
             "q12": [_record_to_json(r) for r in collection.log],
             "q3": [_record_to_json(r) for r in q3.log],
@@ -546,22 +598,15 @@ class AuditService:
             row_cache_for,
             wave_analysis,
         )
-        from repro.core.sampling import SamplingPolicy
         from repro.longitudinal.campaign import PanelCampaign
-        from repro.synth.churn import ChurnModel
         from repro.synth.world import build_world
 
-        scenario = _scenario_from_json(spec["scenario"])
-        world = build_world(scenario)
-        policy = (SamplingPolicy(**spec["policy"])
-                  if spec.get("policy") else None)
-        model = (ChurnModel(**spec["model"]) if spec.get("model") else None)
-        horizons = tuple(spec.get("horizons", [1]))
+        scenario, inputs = _job_inputs(spec)
         store_dir = (str(self._store_dir)
                      if self._store_dir is not None else None)
         campaign = PanelCampaign(
-            world, model=model, horizons=horizons, policy=policy,
-            store_dir=store_dir, resume=store_dir is not None)
+            build_world(scenario), horizons=tuple(spec.get("horizons", [1])),
+            store_dir=store_dir, resume=store_dir is not None, **inputs)
         rows = row_cache_for(campaign, directory=store_dir)
         sealed = []
         for outcome in campaign.waves():

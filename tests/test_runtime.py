@@ -22,13 +22,16 @@ from repro.runtime import (
     AuditCache,
     CheckpointStore,
     RuntimeConfig,
+    ShardResult,
     audit_digest,
     campaign_fingerprint,
+    dispatch_shards,
     enumerate_q12_cells,
     execute_campaign,
     plan_shards,
     run_shard,
 )
+from repro.runtime.checkpoint import _shard_to_json
 from repro.runtime.shards import ShardSpec
 
 # A deliberately small slice of the campaign for the tests that rerun
@@ -326,6 +329,86 @@ class TestProcessWorkersInheritWorld:
             execute_campaign(
                 world, RuntimeConfig(backend="process", shards=2, workers=2),
                 **SUBSET)
+        assert executor_module._WORLD_CACHE == {}
+
+
+# Shards the in-memory log below holds before a contract test runs.
+# Module-level so pool workers forked mid-test see the same set.
+RESTORED = (0, 2)
+
+
+def _run_unrestored_shard(scenario, spec, *args, **kwargs):
+    """run_shard, refusing the shards the log already holds."""
+    if spec.index in RESTORED:
+        raise AssertionError(f"restored shard {spec.index} was run")
+    return run_shard(scenario, spec, *args, **kwargs)
+
+
+class MemoryShardLog:
+    """The least a shard log is: ``load_completed`` and ``save_shard``."""
+
+    def __init__(self, completed=None, fail=False):
+        self.completed = dict(completed or {})
+        self.saved: list[int] = []
+        self.fail = fail
+
+    def load_completed(self):
+        return dict(self.completed)
+
+    def save_shard(self, result):
+        if self.fail:
+            raise OSError("shard log write failed")
+        self.saved.append(result.index)
+
+
+class TestDispatchShardsContract:
+    """dispatch_shards is the one restore → run → record loop: what a
+    shard log holds is restored, the rest runs, and each result is
+    saved the moment it completes."""
+
+    @pytest.fixture(params=["serial", "process"])
+    def backend(self, request):
+        if request.param == "process":
+            request.getfixturevalue("forked_pool")
+        return request.param
+
+    def test_restores_runs_the_rest_and_saves_each_once(
+            self, world, backend, monkeypatch):
+        specs = plan_shards(world, 4, **SUBSET)
+        restored = {index: ShardResult(index=index, count=4)
+                    for index in RESTORED}
+        log = MemoryShardLog(restored)
+        progress = []
+
+        def on_progress(done, total, result, was_restored):
+            progress.append((done, total, result.index, was_restored))
+
+        monkeypatch.setattr(executor_module, "run_shard",
+                            _run_unrestored_shard)
+        completed = dispatch_shards(
+            world, specs, RuntimeConfig(shards=4, workers=2,
+                                        backend=backend),
+            log, on_progress)
+        assert sorted(completed) == [0, 1, 2, 3]
+        for index in RESTORED:
+            assert completed[index] is restored[index]
+        assert sorted(log.saved) == [1, 3]
+        assert progress[:2] == [(1, 4, 0, True), (2, 4, 2, True)]
+        assert [done for done, *_ in progress] == [1, 2, 3, 4]
+        assert sorted((index, was_restored)
+                      for _, _, index, was_restored in progress[2:]) == \
+            [(1, False), (3, False)]
+        for index in (1, 3):
+            assert _shard_to_json(completed[index]) == _shard_to_json(
+                run_shard(world.config, specs[index], world=world))
+
+    def test_failed_save_fails_the_run(self, world, backend):
+        log = MemoryShardLog(fail=True)
+        with pytest.raises(OSError, match="shard log write failed"):
+            dispatch_shards(world, plan_shards(world, 2, **SUBSET),
+                            RuntimeConfig(shards=2, workers=2,
+                                          backend=backend), log)
+        assert log.saved == []
         assert executor_module._WORLD_CACHE == {}
 
 

@@ -30,6 +30,19 @@ pytestmark = pytest.mark.service
 SUBSET = {"isps": ["consolidated"], "states": ["VT", "NH"],
           "q3_states": ["UT"]}
 
+# Campaign inputs a job could never run with: each must be refused at
+# submission, not discovered as a failed (or silently empty) job.
+UNRUNNABLE = [
+    ("policy", {"bogus": 1}),
+    ("engine_config", {"pace": -3}),
+    ("max_replacements", -1),
+    ("max_replacements", "x"),
+    ("isps", ["nope"]),
+    ("states", ["ZZ"]),
+    ("q3_states", ["ZZ"]),
+    ("model", {"cell_rate": 2.0}),
+]
+
 
 @pytest.fixture(scope="module")
 def campaign_spec(tiny_config):
@@ -107,6 +120,22 @@ class TestValidateSpec:
                            "horizons": horizons})
 
 
+    @pytest.mark.parametrize("kind", ["campaign", "panel"])
+    @pytest.mark.parametrize("field, value", UNRUNNABLE)
+    def test_refuses_unrunnable_inputs(self, kind, field, value,
+                                       tiny_config):
+        with pytest.raises(ValueError, match=field):
+            validate_spec({"kind": kind, "scenario": asdict(tiny_config),
+                           field: value})
+
+    def test_accepts_runnable_inputs(self, tiny_config):
+        spec = {"kind": "panel", "scenario": asdict(tiny_config),
+                "policy": {"min_samples": 10},
+                "engine_config": {"pace": 0.0}, "max_replacements": 0,
+                "model": {"cell_rate": 0.5}, **SUBSET}
+        assert validate_spec(spec) == {**spec, "shards": 1}
+
+
 class TestProtocol:
     def test_ping_reports_the_tip(self, client, service):
         pong = client.ping()
@@ -134,6 +163,21 @@ class TestProtocol:
             client.submit({"kind": "campaign", "scenario": {"bad": 1}})
         # Refusal left no journal entry: nothing to replay later.
         assert service.journal.tip_seq == tip_before
+
+    def test_unrunnable_submission_refused_at_the_socket(
+            self, client, service, tiny_config):
+        def submitted():
+            return [entry for entry in service.journal.entries()
+                    if entry.event.get("kind") == "submitted"]
+
+        before = submitted()
+        for field, value in UNRUNNABLE:
+            response = client.request({"type": "submit", "spec": {
+                "kind": "campaign", "scenario": asdict(tiny_config),
+                field: value}})
+            assert response["type"] == "error"
+            assert field in response["error"]
+        assert submitted() == before
 
     def test_connection_survives_a_damaged_frame(self, service):
         from repro.runtime.distributed import _DIGEST_BYTES, _LENGTH, read_frame

@@ -6,10 +6,13 @@ too. Three measurements, three acceptance bars, all at 10% cell churn:
 
 * **collection** — each wave's incremental cost (digesting the cells
   churn touched, with every other cell's digest carried forward from
-  the prior wave, + querying the changed ones + the replay merge)
-  against a from-scratch re-collection of the same evolved world:
-  >= 3x. Each wave also records its ``digest_seconds`` and the share
-  of digests carried forward (``digest_reuse_fraction``).
+  the prior wave, + querying the changed ones) against a from-scratch
+  re-collection of the same evolved world: >= 3x. The replay merge
+  runs on demand, on the first read of the wave's logbook, so it is
+  not in the incremental figure. Each wave also records its
+  ``digest_seconds`` and the share of digests carried forward
+  (``digest_reuse_fraction``), which CI holds at >= 0.9 on every wave
+  of the 5-wave panel.
 * **analysis** — each wave's digest-keyed row fold
   (:func:`repro.analysis.incremental.wave_analysis`, rows cached
   across waves) against the full recompute that rebuilds an

@@ -440,7 +440,9 @@ def wave_analysis(outcome: "WaveOutcome",
     (unchanged since a prior wave, or a resumed panel's persisted
     rows) are folded without touching their records; only churned
     cells pay the row computation. Without one, every row is computed
-    fresh — same result, full price.
+    fresh — same result, full price. It reads the wave's per-cell
+    records and CBG totals, never the merged logbook, so it does not
+    trigger the wave's merge.
 
     A custom ``standard`` cannot be combined with a ``cache``: the
     cache namespace (:func:`row_cache_for`) digests only the default
@@ -465,7 +467,7 @@ def wave_analysis(outcome: "WaveOutcome",
         if not hit:
             row = q12_cell_row(
                 cell, outcome.cells.q12_records[cell],
-                outcome.collection.cbg_totals[(cell.isp_id, cell.cbg)],
+                outcome.digests.cbg_totals[(cell.isp_id, cell.cbg)],
                 standard)
             if cache is not None:
                 cache._remember("q12", digest, row)

@@ -19,6 +19,7 @@ decoupled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -83,6 +84,19 @@ class GroundTruth:
     def truth_for(self, isp_id: str, address_id: str) -> ServiceTruth:
         """Return the recorded truth, or the unserved default."""
         return self._truths.get((isp_id, address_id), UNSERVED)
+
+    def truths_for(
+        self, keys: Iterable[tuple[str, str]]
+    ) -> tuple[ServiceTruth, ...]:
+        """:meth:`truth_for` over ``(isp_id, address_id)`` keys, in order."""
+        return tuple(map(self._truths.get, keys, repeat(UNSERVED)))
+
+    def copy(self) -> "GroundTruth":
+        """A new map holding the same pairs, in the same order, bound to
+        the same (frozen) truth objects."""
+        copied = GroundTruth()
+        copied._truths = dict(self._truths)
+        return copied
 
     def serves(self, isp_id: str, address_id: str) -> bool:
         """True when the ISP genuinely serves the address."""

@@ -5,17 +5,20 @@ staleness); a :class:`PanelCampaign` turns it into a *panel* — the same
 audit repeated over an evolving world, the longitudinal methodology of
 classic multi-year measurement studies. Each wave:
 
-1. **evolves** the world to its horizon (:func:`repro.synth.churn
-   .churned_world` — a Markov chain in the year index, so wave k is
-   the continuation of wave k-1's trajectory);
+1. **evolves** the world to its horizon by continuing the prior
+   wave's churn (:class:`repro.synth.churn.ChurnTrajectory` — a
+   Markov chain in the year index, so wave k is the continuation of
+   wave k-1's trajectory): only the new years' cells are rolled, and
+   every pair they leave alone keeps its truth object;
 2. **plans a delta**: every (ISP, CBG) cell and Q3 block is digested
    (:mod:`repro.longitudinal.digests`) and diffed against the prior
    wave — unchanged cells will be *replayed* from the prior wave's
    per-cell logbook, changed cells re-queried. Digesting is itself
-   O(churn): a cell whose truth objects are all the prior wave's (and
-   whose world parts churn shared) carries the prior digest forward
-   unencoded — sound because the truth objects are frozen — so only
-   cells churn touched are encoded and hashed;
+   O(churn): the cell layout is the prior wave's while the world's
+   static parts are, and a cell whose truth objects are all the prior
+   wave's carries the prior digest forward unencoded — sound because
+   the truth objects are frozen — so only cells churn touched are
+   encoded and hashed;
 3. **executes** the changed cells through the one shard loop every
    campaign runs (:func:`repro.runtime.executor.dispatch_shards` —
    every backend — serial, process, distributed — with or without
@@ -23,11 +26,16 @@ classic multi-year measurement studies. Each wave:
    wave's checkpoint store is its shard log, so ``resume`` restores
    completed delta shards): forked pool workers inherit the evolved
    world, and workers in a fresh interpreter are shipped a
-   :class:`~repro.synth.churn.WaveScenario` so they can rebuild it;
-4. **merges** replayed + fresh cells through the runtime's canonical
-   merge, producing a wave logbook byte-identical to a from-scratch
-   re-collection of the evolved world (enforced by
-   ``tests/harness/equivalence.py``'s panel scenario).
+   :class:`~repro.synth.churn.WaveScenario` so they can rebuild it
+   (by replay, which the continued truth equals pair for pair);
+4. **merges**, on demand, replayed + fresh cells through the
+   runtime's canonical merge, producing a wave logbook byte-identical
+   to a from-scratch re-collection of the evolved world (enforced by
+   ``tests/harness/equivalence.py``'s panel scenario). The merge runs
+   on the first read of :attr:`WaveOutcome.collection` or
+   :attr:`WaveOutcome.q3`; the incremental analysis reads neither
+   (its CBG totals come from the digests' static cell layout), so a
+   delta wave that is only analyzed never merges.
 
 Because only changed cells are queried, a wave in which c% of cells
 churned costs O(c% of the campaign) instead of O(campaign) — the
@@ -43,8 +51,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.bqt.engine import EngineConfig
 from repro.core.collection import CollectionResult, Q3Collection
@@ -69,7 +78,7 @@ from repro.runtime.checkpoint import checkpoint_log
 from repro.runtime.executor import RuntimeConfig, ShardResult, dispatch_shards
 from repro.runtime.merge import merge_shard_results
 from repro.runtime.shards import DEFAULT_ISPS, ShardSpec, deal_shards
-from repro.synth.churn import ChurnModel, WaveScenario, churned_world
+from repro.synth.churn import ChurnModel, ChurnTrajectory, WaveScenario
 from repro.synth.world import World
 
 __all__ = ["DEFAULT_PANEL_CHURN", "PanelCampaign", "WaveOutcome"]
@@ -82,7 +91,11 @@ DEFAULT_PANEL_CHURN = ChurnModel(cell_rate=0.10)
 
 @dataclass
 class WaveOutcome:
-    """Everything one wave produced."""
+    """Everything one wave produced.
+
+    ``collection`` and ``q3`` are the wave's merged logbooks, computed
+    by ``merge`` on first access and kept.
+    """
 
     wave: int
     horizon_years: int
@@ -91,8 +104,8 @@ class WaveOutcome:
     delta: DeltaPlan
     # Per-cell record streams, the replay source for the next wave.
     cells: ShardResult = field(repr=False)
-    collection: CollectionResult = field(repr=False)
-    q3: Q3Collection = field(repr=False)
+    merge: Callable[[], tuple[CollectionResult, Q3Collection]] = field(
+        repr=False, compare=False)
     fresh_q12: int = 0
     replayed_q12: int = 0
     fresh_q3: int = 0
@@ -106,6 +119,21 @@ class WaveOutcome:
     def elapsed_seconds(self) -> float:
         """The wave's total cost on this host."""
         return self.evolve_seconds + self.digest_seconds + self.collect_seconds
+
+    @cached_property
+    def _merged(self) -> tuple[CollectionResult, Q3Collection]:
+        with span("wave.merge", wave=self.wave):
+            return self.merge()
+
+    @property
+    def collection(self) -> CollectionResult:
+        """The wave's merged Q1/Q2 collection (merged on first access)."""
+        return self._merged[0]
+
+    @property
+    def q3(self) -> Q3Collection:
+        """The wave's merged Q3 collection (merged on first access)."""
+        return self._merged[1]
 
     @property
     def reuse_fraction(self) -> float:
@@ -214,9 +242,12 @@ class PanelCampaign:
         """Run the panel, yielding each wave as it completes."""
         if tracing_enabled():
             configure_tracing(self.fingerprint, site="coordinator")
+        if self._store is not None:
+            self._store.start_run()
+        trajectory = ChurnTrajectory(self._world, self._model)
         prior: WaveOutcome | None = None
         for wave, horizon in enumerate((0, *self._horizons)):
-            outcome = self._run_wave(wave, horizon, prior)
+            outcome = self._run_wave(wave, horizon, prior, trajectory)
             yield outcome
             prior = outcome
         if tracing_enabled():
@@ -234,19 +265,18 @@ class PanelCampaign:
         return list(self.waves())
 
     def _run_wave(self, wave: int, horizon: int,
-                  prior: WaveOutcome | None) -> WaveOutcome:
+                  prior: WaveOutcome | None,
+                  trajectory: ChurnTrajectory) -> WaveOutcome:
         with span("panel.wave", wave=wave, horizon=horizon):
-            return self._run_wave_inner(wave, horizon, prior)
+            return self._run_wave_inner(wave, horizon, prior, trajectory)
 
     def _run_wave_inner(self, wave: int, horizon: int,
-                        prior: WaveOutcome | None) -> WaveOutcome:
+                        prior: WaveOutcome | None,
+                        trajectory: ChurnTrajectory) -> WaveOutcome:
         started = time.perf_counter()
-        with span("wave.evolve", wave=wave):
-            if horizon == 0:
-                world = self._world
-            else:
-                world = churned_world(self._world, years=horizon,
-                                      model=self._model)
+        with span("wave.evolve", wave=wave) as traced:
+            world = trajectory.advance(horizon)
+            traced.attrs.update(trajectory.last_step)
         evolved_at = time.perf_counter()
         with span("wave.digest", wave=wave):
             prior_digests = prior.digests if prior else None
@@ -286,8 +316,6 @@ class PanelCampaign:
                     "fresh_q3": fresh_q3,
                     "replayed_q3": delta.total_q3 - fresh_q3,
                 }, digests)
-        with span("wave.merge", wave=wave):
-            collection, q3 = self._merge(world, digests, cells)
         return WaveOutcome(
             wave=wave,
             horizon_years=horizon,
@@ -295,8 +323,7 @@ class PanelCampaign:
             digests=digests,
             delta=delta,
             cells=cells,
-            collection=collection,
-            q3=q3,
+            merge=lambda: self._merge(world, digests, cells),
             fresh_q12=fresh_q12,
             replayed_q12=delta.total_q12 - fresh_q12,
             fresh_q3=fresh_q3,

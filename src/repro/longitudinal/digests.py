@@ -23,17 +23,23 @@ equality.
 **Carry-forward.** Encoding and hashing every cell each wave would make
 the delta planner O(world) even when churn touched a handful of cells.
 :func:`compute_wave_digests` therefore takes the prior wave's
-:class:`WaveDigests`, which remembers, per cell, the tuple of
-:class:`~repro.isp.deployment.ServiceTruth` objects its payload read. A
-cell keeps the prior digest, without re-encoding, only when
+:class:`WaveDigests`, which remembers two things:
 
-* the world's static parts (``_STATIC_PARTS``: scenario config,
-  certified addresses, HUBB filings, Zillow feed, Q3 block
-  classification) are the *same objects* the prior wave read, and the
-  ISP and state subsets are equal — :func:`~repro.synth.churn
-  .churned_world` shares every one of them through ``replace``, so the
-  cell's key and address list are unchanged; and
-* every truth object the cell reads *is* the prior wave's object.
+* the wave's *layout* — the cell enumeration, each cell's
+  ``(ISP, address)`` keys, the Q3 candidates and each block's roles and
+  footprint — everything a digest reads besides truth;
+* per cell, the tuple of :class:`~repro.isp.deployment.ServiceTruth`
+  objects its payload read.
+
+While the world's static parts (``_STATIC_PARTS``: scenario config,
+geographies, certified addresses, HUBB filings, Zillow feed, Form 477,
+the broadband map, Q3 block classification) are the *same objects* the
+prior wave read, and the ISP, state and storefront subsets are equal,
+the layout is the prior's — :func:`~repro.synth.churn.churned_world`
+and :class:`~repro.synth.churn.ChurnTrajectory` share every one of them
+through ``replace`` — so only the truth objects are re-read. A cell
+then keeps the prior digest, without re-encoding, when every truth
+object it reads *is* the prior wave's object.
 
 That is sound because ``ServiceTruth`` and ``BroadbandPlan`` are frozen
 and nothing mutates a world's static parts once it is built, so the same
@@ -48,6 +54,7 @@ in ``WaveDigests`` equality and is never persisted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import is_
 
 from repro.core.collection import q3_block_candidates
@@ -68,11 +75,13 @@ __all__ = [
 ]
 
 # The World attributes a cell's digest reads besides ground truth: the
-# cell enumeration, each cell's address list and each Q3 block's roles
-# all come from these. A prior wave's digests carry forward only while
-# every one is the same object.
-_STATIC_PARTS = ("config", "caf_by_isp_state", "caf_addresses", "hubb",
-                "zillow", "block_competition")
+# cell enumeration, each cell's address list, the Q3 candidates and each
+# Q3 block's roles all come from these (and from the storefront ISPs,
+# part of the basis's subsets). A prior wave's layout and digests carry
+# forward only while every one is the same object.
+_STATIC_PARTS = ("config", "geographies", "caf_by_isp_state",
+                 "caf_addresses", "hubb", "zillow", "form477",
+                 "broadband_map", "block_competition")
 
 
 def _truth_digest_payload(truth: ServiceTruth) -> dict:
@@ -86,23 +95,22 @@ def _truth_digest_payload(truth: ServiceTruth) -> dict:
     }
 
 
-def _truth_pairs(addresses, truths) -> list:
-    return [[address.address_id, _truth_digest_payload(truth)]
-            for address, truth in zip(addresses, truths)]
+def _truth_pairs(keys, truths) -> list:
+    return [[address_id, _truth_digest_payload(truth)]
+            for (_isp_id, address_id), truth in zip(keys, truths)]
 
 
-def _q12_digest(cell: Q12Cell, addresses, truths) -> str:
+def _q12_keys(cell: Q12Cell, addresses) -> tuple:
+    return tuple([(cell.isp_id, address.address_id)
+                  for address in addresses])
+
+
+def _q12_digest(cell: Q12Cell, keys, truths) -> str:
     return content_digest({
         "isp": cell.isp_id,
         "cbg": cell.cbg,
-        "truths": _truth_pairs(addresses, truths),
+        "truths": _truth_pairs(keys, truths),
     })
-
-
-def _q12_truths(world: World, cell: Q12Cell, addresses) -> tuple:
-    truth = world.ground_truth
-    return tuple([truth.truth_for(cell.isp_id, address.address_id)
-                  for address in addresses])
 
 
 def q12_cell_digest(world: World, cell: Q12Cell, addresses=None) -> str:
@@ -115,49 +123,47 @@ def q12_cell_digest(world: World, cell: Q12Cell, addresses=None) -> str:
     if addresses is None:
         addresses = world.caf_addresses_by_cbg(
             cell.isp_id, cell.state)[cell.cbg]
-    return _q12_digest(cell, addresses, _q12_truths(world, cell, addresses))
+    keys = _q12_keys(cell, addresses)
+    return _q12_digest(cell, keys, world.ground_truth.truths_for(keys))
 
 
 @dataclass(frozen=True)
-class _Q3Reads:
-    """What one Q3 block's digest reads: roles, addresses, truths."""
+class _Q3Footprint:
+    """What one Q3 block's digest reads besides truth: its roles, and
+    the ``(ISP, address)`` keys whose truth it reads — the incumbent
+    over its CAF then non-CAF addresses (the first ``split`` keys),
+    then the cable ISP over the non-CAF ones (none without a cable
+    ISP)."""
 
     block: str
     incumbent: str
     cable: str | None
-    footprint: tuple  # the incumbent's CAF then non-CAF addresses
-    non_caf: tuple
-    # The incumbent's truth over the footprint, then the cable ISP's
-    # over the non-CAF addresses (none without a cable ISP).
-    truths: tuple
+    keys: tuple
+    split: int
 
-    def digest(self) -> str:
-        split = len(self.footprint)
+    def digest(self, truths: tuple) -> str:
+        split = self.split
         return content_digest({
             "block": self.block,
             "incumbent": self.incumbent,
             "cable": self.cable,
-            "incumbent_truths": _truth_pairs(self.footprint,
-                                             self.truths[:split]),
-            "cable_truths": _truth_pairs(self.non_caf, self.truths[split:]),
+            "incumbent_truths": _truth_pairs(self.keys[:split],
+                                             truths[:split]),
+            "cable_truths": _truth_pairs(self.keys[split:], truths[split:]),
         })
 
 
-def _q3_reads(world: World, block_geoid: str) -> _Q3Reads:
+def _q3_footprint(world: World, block_geoid: str) -> _Q3Footprint:
     competition = world.block_competition[block_geoid]
     incumbent = competition.incumbent_isp_id
     cable = competition.cable_isp_id
-    non_caf = tuple(world.zillow.non_caf_in_block(block_geoid))
-    footprint = (*world.caf_addresses_in_block(incumbent, block_geoid),
-                 *non_caf)
-    truth = world.ground_truth
-    truths = [truth.truth_for(incumbent, address.address_id)
-              for address in footprint]
+    non_caf = world.zillow.non_caf_in_block(block_geoid)
+    keys = [(incumbent, address.address_id) for address in (
+        *world.caf_addresses_in_block(incumbent, block_geoid), *non_caf)]
+    split = len(keys)
     if cable is not None:
-        truths += [truth.truth_for(cable, address.address_id)
-                   for address in non_caf]
-    return _Q3Reads(block_geoid, incumbent, cable, footprint, non_caf,
-                    tuple(truths))
+        keys += [(cable, address.address_id) for address in non_caf]
+    return _Q3Footprint(block_geoid, incumbent, cable, tuple(keys), split)
 
 
 def q3_block_digest(world: World, block_geoid: str) -> str:
@@ -168,7 +174,29 @@ def q3_block_digest(world: World, block_geoid: str) -> str:
     exactly the pairs :func:`repro.core.collection.run_q3_block` can
     query.
     """
-    return _q3_reads(world, block_geoid).digest()
+    footprint = _q3_footprint(world, block_geoid)
+    return footprint.digest(world.ground_truth.truths_for(footprint.keys))
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """One basis's cell enumeration: each Q1/Q2 cell with its truth
+    keys, and each Q3 candidate's footprint, in canonical order."""
+
+    q12: tuple[tuple[Q12Cell, tuple], ...]
+    q3: tuple[_Q3Footprint, ...]
+
+    @cached_property
+    def cbg_totals(self) -> dict[tuple[str, str], int]:
+        return {(cell.isp_id, cell.cbg): len(keys) for cell, keys in self.q12}
+
+
+def _layout(world: World, isps, states, q3_states) -> _Layout:
+    return _Layout(
+        q12=tuple((cell, _q12_keys(cell, addresses)) for cell, addresses
+                  in q12_cells_with_addresses(world, isps, states)),
+        q3=tuple(_q3_footprint(world, block) for block
+                 in q3_block_candidates(world, states=q3_states)))
 
 
 @dataclass
@@ -187,11 +215,20 @@ class WaveDigests:
         default_factory=dict, compare=False, repr=False)
     q3_truths: dict[str, tuple] = field(
         default_factory=dict, compare=False, repr=False)
-    # The _STATIC_PARTS objects and the (isps, states, q3_states)
-    # subsets the digests were read under.
+    # The _STATIC_PARTS objects and the (isps, states, q3_states,
+    # storefront ISPs) subsets the digests were read under, and the
+    # layout read from them.
     basis: tuple = field(default=(), compare=False, repr=False)
+    layout: _Layout | None = field(default=None, compare=False, repr=False)
     # How many digests were carried from the prior wave unencoded.
     reused: int = field(default=0, compare=False)
+
+    @property
+    def cbg_totals(self) -> dict[tuple[str, str], int]:
+        """(isp_id, cbg) → the Q1/Q2 cell's certified population, as
+        the merge's ``CollectionResult.cbg_totals`` holds it — read off
+        the static layout, so shared by every wave of one basis."""
+        return self.layout.cbg_totals
 
     @property
     def total_cells(self) -> int:
@@ -225,31 +262,33 @@ def compute_wave_digests(
 ) -> WaveDigests:
     """Digest every campaign cell of ``world``, in canonical order.
 
-    With the ``prior`` wave's digests, a cell whose world parts and
-    truth objects are all the prior wave's carries its digest forward
-    instead of re-encoding it; the result is equal either way.
+    With the ``prior`` wave's digests, the prior layout is reused while
+    the world's static parts are the prior's, and a cell whose truth
+    objects are all the prior wave's carries its digest forward instead
+    of re-encoding it; the result is equal either way.
     """
-    digests = WaveDigests(basis=(
-        tuple(getattr(world, name) for name in _STATIC_PARTS),
-        (tuple(isps), states, q3_states)))
-    carry = prior is not None and _same_basis(digests.basis, prior.basis)
-    for cell, addresses in q12_cells_with_addresses(world, isps, states):
-        truths = _q12_truths(world, cell, addresses)
-        digests.q12_truths[cell] = truths
+    basis = (tuple(getattr(world, name) for name in _STATIC_PARTS),
+             (tuple(isps), states, q3_states, tuple(world.websites)))
+    carry = prior is not None and _same_basis(basis, prior.basis)
+    layout = (prior.layout if carry
+              else _layout(world, isps, states, q3_states))
+    digests = WaveDigests(basis=basis, layout=layout)
+    read = world.ground_truth.truths_for
+    for cell, keys in layout.q12:
+        truths = digests.q12_truths[cell] = read(keys)
         if carry and _same_objects(truths, prior.q12_truths.get(cell)):
             digests.q12[cell] = prior.q12[cell]
             digests.reused += 1
         else:
-            digests.q12[cell] = _q12_digest(cell, addresses, truths)
-    for block_geoid in q3_block_candidates(world, states=q3_states):
-        reads = _q3_reads(world, block_geoid)
-        digests.q3_truths[block_geoid] = reads.truths
-        if carry and _same_objects(reads.truths,
-                                   prior.q3_truths.get(block_geoid)):
-            digests.q3[block_geoid] = prior.q3[block_geoid]
+            digests.q12[cell] = _q12_digest(cell, keys, truths)
+    for footprint in layout.q3:
+        block = footprint.block
+        truths = digests.q3_truths[block] = read(footprint.keys)
+        if carry and _same_objects(truths, prior.q3_truths.get(block)):
+            digests.q3[block] = prior.q3[block]
             digests.reused += 1
         else:
-            digests.q3[block_geoid] = reads.digest()
+            digests.q3[block] = footprint.digest(truths)
     return digests
 
 

@@ -74,7 +74,19 @@ _CELLS_SUBDIR = "cells"
 
 
 class PanelStore(FingerprintNamespacedStore):
-    """One panel campaign's persisted waves under a directory."""
+    """One panel campaign's persisted waves under a directory.
+
+    The store remembers the digests of the last wave it published or
+    loaded: those CAS entries are known to exist, so the next wave's
+    :meth:`save_wave` probes the disk only for the others — O(churn)
+    probes, not O(world). A panel run starts with :meth:`start_run`,
+    which forgets them (another process may have changed the directory
+    since) and reclaims stale tmp files once for the whole run.
+    """
+
+    def __init__(self, directory: str | Path, fingerprint: str):
+        super().__init__(directory, fingerprint)
+        self._present: set[str] = set()
 
     @property
     def panel_directory(self) -> Path:
@@ -109,22 +121,41 @@ class PanelStore(FingerprintNamespacedStore):
                 f'"format":{FORMAT_VERSION},"payload":{body},'
                 f'"payload_sha256":"{checksum}"}}').encode("utf-8")
 
+    def start_run(self) -> None:
+        """Begin a panel run: trust no remembered CAS entry, and sweep
+        the stale tmp files crashed writers left behind."""
+        self._present = set()
+        sweep_stale_tmp_files(self.panel_directory)
+        sweep_stale_tmp_files(self.cells_directory)
+
     def _new_cell_documents(self, cells: "ShardResult",
                             digests: "WaveDigests"):
         """``(path, document bytes)`` for each of the wave's digests not
-        yet in the CAS, built lazily so a batch holds one chunk."""
+        yet in the CAS, built lazily so a batch holds one chunk. Only
+        digests the last wave did not publish or load are probed."""
+        present = self._present
         for cell, digest in digests.q12.items():
+            if digest in present:
+                continue
             path = self.cell_path(digest)
             if not path.exists():
                 yield path, self._cell_document(digest, {
                     "kind": "q12",
                     **_q12_entry(cell, cells.q12_records[cell])})
         for block, digest in digests.q3.items():
+            if digest in present:
+                continue
             path = self.cell_path(digest)
             if not path.exists():
                 yield path, self._cell_document(digest, {
                     "kind": "q3",
                     **_q3_entry(block, cells.q3_outcomes[block])})
+
+    def _remember(self, refs: dict) -> None:
+        """The CAS entries a wave's references name are now known to
+        exist; the ones an earlier wave named are forgotten."""
+        self._present = {ref[-1] for kind in ("q12", "q3")
+                         for ref in refs[kind]}
 
     def save_wave(
         self,
@@ -140,7 +171,8 @@ class PanelStore(FingerprintNamespacedStore):
         reclaims.
 
         Digests whose CAS file already exists are skipped, so the
-        per-wave write cost is exactly the churned digests.
+        per-wave write cost is exactly the churned digests; only the
+        digests the last wave did not publish or load are probed.
         """
         self.cells_directory.mkdir(parents=True, exist_ok=True)
         atomic_write_batch(self._new_cell_documents(cells, digests))
@@ -159,8 +191,7 @@ class PanelStore(FingerprintNamespacedStore):
         }
         path = self.wave_path(wave)
         atomic_write_text(path, json.dumps(document, sort_keys=True))
-        sweep_stale_tmp_files(self.panel_directory)
-        sweep_stale_tmp_files(self.cells_directory)
+        self._remember(refs)
         return path
 
     # ------------------------------------------------------------------
@@ -196,7 +227,7 @@ class PanelStore(FingerprintNamespacedStore):
         except OSError:
             return None
         except json.JSONDecodeError:
-            path.unlink(missing_ok=True)
+            self._quarantine(digest)
             return None
         if (not isinstance(document, dict)
                 or document.get("format") != FORMAT_VERSION):
@@ -205,9 +236,14 @@ class PanelStore(FingerprintNamespacedStore):
         if (document.get("digest") != digest
                 or not isinstance(payload, dict)
                 or content_digest(payload) != document.get("payload_sha256")):
-            path.unlink(missing_ok=True)
+            self._quarantine(digest)
             return None
         return payload
+
+    def _quarantine(self, digest: str) -> None:
+        """Unlink a damaged CAS entry, so the next publish rewrites it."""
+        self._present.discard(digest)
+        self.cell_path(digest).unlink(missing_ok=True)
 
     def _assemble_from_cas(self, document: dict) -> "ShardResult | None":
         from repro.runtime.executor import ShardResult
@@ -229,7 +265,7 @@ class PanelStore(FingerprintNamespacedStore):
                     # for its address: manifest/CAS skew. Quarantine it
                     # too, or the recompute's republish would skip the
                     # existing file and the wave could never heal.
-                    self.cell_path(digest).unlink(missing_ok=True)
+                    self._quarantine(digest)
                     return None
                 cell, records = _q12_from_entry(payload)
                 result.q12_records[cell] = records
@@ -239,7 +275,7 @@ class PanelStore(FingerprintNamespacedStore):
                     return None
                 if (payload.get("kind") != "q3"
                         or payload["block_geoid"] != block):
-                    self.cell_path(digest).unlink(missing_ok=True)
+                    self._quarantine(digest)
                     return None
                 result.q3_outcomes[block] = _q3_from_entry(payload)[1]
         except (KeyError, TypeError, ValueError):
@@ -262,6 +298,7 @@ class PanelStore(FingerprintNamespacedStore):
         cells = self._assemble_from_cas(document)
         if cells is None:
             return None
+        self._remember(document["cells"])
         manifest = {
             "wave": wave,
             "format": document["format"],

@@ -592,7 +592,9 @@ class AuditService:
 
         The panel persists into the service's ``store_dir`` (CAS cells
         + disk-backed analysis rows), which is exactly what the read
-        API serves from — running a panel *warms the reader*.
+        API serves from — running a panel *warms the reader*. Each
+        wave's changed cells are dealt onto the spec's ``shards``, run
+        serially like a campaign job's.
         """
         from repro.analysis.incremental import (
             row_cache_for,
@@ -606,6 +608,7 @@ class AuditService:
                      if self._store_dir is not None else None)
         campaign = PanelCampaign(
             build_world(scenario), horizons=tuple(spec.get("horizons", [1])),
+            runtime=RuntimeConfig(shards=spec["shards"], backend="serial"),
             store_dir=store_dir, resume=store_dir is not None, **inputs)
         rows = row_cache_for(campaign, directory=store_dir)
         sealed = []

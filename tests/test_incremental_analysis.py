@@ -234,3 +234,54 @@ class TestReduce:
 
         result = run_panel(context, waves=2)
         assert result.scalars["analysis_row_reuse_fraction"] > 0.0
+
+
+class TestLazyMerge:
+    """A wave merges its logbook on first read, never for the fold."""
+
+    def test_waves_analyze_without_merging(self, world, monkeypatch):
+        import repro.longitudinal.campaign as campaign_module
+        from harness.equivalence import canonical_logbook_bytes
+        from repro.obs.trace import drain_spans
+        from repro.runtime.merge import merge_shard_results
+        from repro.runtime.shards import ShardSpec
+
+        def refuse(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a wave merged before its logbook was "
+                                 "read")
+
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
+        drain_spans()
+        campaign = PanelCampaign(world, model=SPARSE, horizons=(1, 2, 4),
+                                 **SUBSET)
+        cache = row_cache_for(campaign)
+        outcomes, payloads = [], []
+        with monkeypatch.context() as patched:
+            patched.setattr(campaign_module, "merge_shard_results", refuse)
+            for outcome in campaign.waves():
+                payloads.append(wave_analysis(outcome, cache=cache))
+                outcomes.append(outcome)
+        spans = drain_spans()
+        assert not [s for s in spans if s["name"] == "wave.merge"]
+        # Each delta wave's evolve span names the years it rolled.
+        assert [s["attrs"].get("years") for s in spans
+                if s["name"] == "wave.evolve"] == [None, [0], [1], [2, 3]]
+
+        for outcome, payload in zip(outcomes, payloads):
+            spec = ShardSpec(index=0, count=1,
+                             q12_cells=tuple(outcome.digests.q12),
+                             q3_blocks=tuple(outcome.digests.q3))
+            collection, q3 = merge_shard_results(
+                outcome.world, [spec], {0: outcome.cells}, **SUBSET)
+            assert canonical_logbook_bytes(outcome.collection, outcome.q3) \
+                == canonical_logbook_bytes(collection, q3)
+            assert outcome.collection.plans == collection.plans
+            assert outcome.collection.cbg_totals == collection.cbg_totals \
+                == outcome.digests.cbg_totals
+            assert outcome.collection is outcome.collection
+            assert _row_bytes(payload.to_payload()) == _row_bytes(
+                full_wave_analysis(outcome).to_payload())
+        # The span runs where the merge does: once per wave, on first read.
+        assert [s["attrs"]["wave"] for s in drain_spans()
+                if s["name"] == "wave.merge"] == [0, 1, 2, 3]

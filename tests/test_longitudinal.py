@@ -251,6 +251,44 @@ class TestPanelStoreCAS:
             "CAS stored cells once per wave — no cross-wave sharing")
         assert cas_files == store.referenced_digests()
 
+    @pytest.mark.parametrize("resume", (False, True),
+                             ids=("published", "loaded"))
+    def test_a_wave_probes_only_digests_its_prior_lacked(
+            self, world, tmp_path, monkeypatch, resume):
+        """A delta wave checks the disk only for digests the prior wave
+        neither published nor loaded — O(churn) probes."""
+        if resume:
+            # Waves 0-1 stay stored: they load, and wave 2 saves.
+            stored = self._run(world, tmp_path)
+            stored.run()
+            stored.store.wave_path(2).unlink()
+        # One list per save_wave call, after one for the loads' reads.
+        probes: list[list[str]] = [[]]
+        cell_path, save_wave = PanelStore.cell_path, PanelStore.save_wave
+
+        def probing(store, digest):
+            probes[-1].append(digest)
+            return cell_path(store, digest)
+
+        def saving(store, *args, **kwargs):
+            probes.append([])
+            return save_wave(store, *args, **kwargs)
+
+        monkeypatch.setattr(PanelStore, "cell_path", probing)
+        monkeypatch.setattr(PanelStore, "save_wave", saving)
+        outcomes = self._run(world, tmp_path, resume=resume).run()
+        saved = [o for o in outcomes if not o.restored_from_store]
+        assert [o.wave for o in saved] == ([2] if resume else [0, 1, 2])
+        assert len(probes) == len(saved) + 1
+        for outcome, probed in zip(saved, probes[1:]):
+            wave = set(outcome.digests.q12.values()) | set(
+                outcome.digests.q3.values())
+            prior = set() if outcome.wave == 0 else set(
+                outcomes[outcome.wave - 1].digests.q12.values()) | set(
+                outcomes[outcome.wave - 1].digests.q3.values())
+            assert set(probed) == wave - prior
+        assert 0 < len(probes[-1]) < saved[-1].digests.total_cells
+
     def test_sweep_reclaims_only_orphans(self, world, tmp_path):
         campaign = self._run(world, tmp_path)
         campaign.run()

@@ -294,6 +294,54 @@ class TestPanelJobsAndReader:
         assert unknown["type"] == "error"
 
 
+class TestPanelJobShards:
+    """A panel job's ``shards`` reaches the delta waves' shard loop."""
+
+    SPEC = {"kind": "panel", "horizons": [1, 2], "model": {"cell_rate": 0.3},
+            **SUBSET}
+
+    def _run(self, root, tiny_config, shards, monkeypatch):
+        import repro.longitudinal.campaign as campaign_module
+        from repro.runtime.executor import dispatch_shards as dispatch
+
+        calls: list[tuple[int, int]] = []
+
+        def counting(world, specs, config, *args, **kwargs):
+            cells = sum(len(spec.q12_cells) + len(spec.q3_blocks)
+                        for spec in specs)
+            calls.append((len(specs), cells))
+            return dispatch(world, specs, config, *args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "dispatch_shards", counting)
+        with AuditService(root / "journal") as running, \
+                ServiceClient(running.address) as connected:
+            accepted = connected.submit({**self.SPEC, "shards": shards,
+                                         "scenario": asdict(tiny_config)})
+            state = connected.wait_for_job(accepted["job"], timeout=300.0)
+            analyses = [connected.query(what="wave-analysis",
+                                        job=accepted["job"],
+                                        wave=wave)["payload"]
+                        for wave in (0, 1, 2)]
+        assert state["status"] == "completed", state.get("error")
+        return calls, analyses
+
+    def test_specs_follow_the_spec_shards(self, tmp_path, tiny_config,
+                                          monkeypatch):
+        one, serial = self._run(tmp_path / "one", tiny_config, 1,
+                                monkeypatch)
+        three, sharded = self._run(tmp_path / "three", tiny_config, 3,
+                                   monkeypatch)
+        # Every wave with changed cells dispatches once: the snapshot
+        # and both delta waves.
+        assert len(one) == len(three) == 3
+        assert all(specs == 1 for specs, _ in one)
+        assert [specs for specs, _ in three] == [
+            min(3, cells) for _, cells in three]
+        assert any(specs == 3 for specs, _ in three)
+        # Placement moves no analysis byte.
+        assert sharded == serial
+
+
 class TestFollower:
     def test_mid_campaign_subscriber_converges(self, client, service,
                                                campaign_spec, tmp_path):

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.addresses.models import StreetAddress
 from repro.geo.entities import CensusBlock
-from repro.geo.fips import state_by_fips
+from repro.geo.fips import StateInfo, state_by_fips
 from repro.geo.geometry import Point
 from repro.stats.distributions import stable_rng
 
@@ -50,8 +50,7 @@ class AddressGenerator:
         base = 10000 + (county_part * 37) % 89000
         return f"{base + int(rng.integers(0, 8)):05d}"
 
-    def _city_for_block(self, block: CensusBlock) -> str:
-        state = state_by_fips(block.state_fips)
+    def _city_for_block(self, block: CensusBlock, state: StateInfo) -> str:
         county_part = int(block.geoid[2:5])
         kind = "City" if not block.is_rural else "Township"
         return f"{state.name.split()[0]} {kind} {county_part}"
@@ -72,24 +71,28 @@ class AddressGenerator:
         num_streets = max(1, count // 12)
         streets = [self.street_name(rng) for _ in range(num_streets)]
         zip_code = self._zip_for_block(block, rng)
-        city = self._city_for_block(block)
+        # Per block, not per address: the state, city and centroid.
+        state = state_by_fips(block.state_fips)
+        city = self._city_for_block(block, state)
+        geoid = block.geoid
+        longitude, latitude = block.centroid.longitude, block.centroid.latitude
         addresses = []
         for index in range(count):
             street = streets[int(rng.integers(num_streets))]
             house_number = int(rng.integers(1, 9900))
-            lon = block.centroid.longitude + float(rng.normal(0, 0.002))
-            lat = block.centroid.latitude + float(rng.normal(0, 0.002))
+            lon = longitude + float(rng.normal(0, 0.002))
+            lat = latitude + float(rng.normal(0, 0.002))
             lon = min(max(lon, -180.0), 180.0)
             lat = min(max(lat, -90.0), 90.0)
             addresses.append(
                 StreetAddress(
-                    address_id=f"{namespace}-{block.geoid}-{index:05d}",
+                    address_id=f"{namespace}-{geoid}-{index:05d}",
                     house_number=house_number,
                     street_name=street,
                     city=city,
-                    state_abbreviation=state_by_fips(block.state_fips).abbreviation,
+                    state_abbreviation=state.abbreviation,
                     zip_code=zip_code,
-                    block_geoid=block.geoid,
+                    block_geoid=geoid,
                     location=Point(lon, lat),
                     is_caf=is_caf,
                 )

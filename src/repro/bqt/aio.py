@@ -37,12 +37,15 @@ from repro.addresses.models import StreetAddress
 from repro.bqt.campaign import MAX_POLITE_WORKERS_PER_ISP
 from repro.bqt.engine import BqtEngine, EngineConfig
 from repro.bqt.logbook import QueryRecord
+from repro.bqt.priming import SessionPrimer
 from repro.core.collection import (
     Q3BlockOutcome,
     q3_block_setup,
     q3_query_sequence,
+    q12_cell_addresses,
     q12_cell_setup,
     q12_query_sequence,
+    session_primer,
     settle_q12_record,
     settle_q3_mode,
 )
@@ -209,6 +212,7 @@ async def run_q12_cell_async(
     engine_config: EngineConfig | None = None,
     max_replacements: int = 2,
     monitor: SessionMonitor | None = None,
+    primer: SessionPrimer | None = None,
 ) -> tuple[SamplePlan, list[QueryRecord]]:
     """Async twin of :func:`repro.core.collection.run_q12_cell`.
 
@@ -219,7 +223,8 @@ async def run_q12_cell_async(
     if max_replacements < 0:
         raise ValueError("max_replacements must be non-negative")
     engine, plan = q12_cell_setup(world, isp_id, cbg, addresses,
-                                  policy=policy, engine_config=engine_config)
+                                  policy=policy, engine_config=engine_config,
+                                  primer=primer)
     records: list[QueryRecord] = []
     sequence = q12_query_sequence(plan, max_replacements)
     try:
@@ -240,6 +245,7 @@ async def run_q3_block_async(
     engine_config: EngineConfig | None = None,
     gate: PolitenessGate | None = None,
     monitor: SessionMonitor | None = None,
+    primer: SessionPrimer | None = None,
 ) -> Q3BlockOutcome | None:
     """Async twin of :func:`repro.core.collection.run_q3_block`.
 
@@ -248,7 +254,7 @@ async def run_q3_block_async(
     return) a token for the cable storefront, so overlap ISPs are
     politeness-capped too.
     """
-    setup = q3_block_setup(world, block_geoid, engine_config)
+    setup = q3_block_setup(world, block_geoid, engine_config, primer)
     if setup is None:
         return None
     outcome, engines, caf_addresses, non_caf = setup
@@ -317,24 +323,34 @@ async def run_cells_async(
     slots = asyncio.Semaphore(max_inflight)
     q12_records: dict = {}
     q3_outcomes: dict = {}
-    # caf_addresses_by_cbg regroups a whole (ISP, state) footprint per
-    # call; share the grouping across this shard's cells.
-    grouped: dict[tuple[str, str], dict] = {}
+    # Each storefront's gate admits its cells in canonical order, so one
+    # primer per gate sees its cells asked for (nearly) in the order it
+    # walks them. A cell the walk has passed by the time it starts is
+    # primed alone, with the same records.
+    streams: dict[str, tuple[list, list]] = {}
+    q12_addresses = q12_cell_addresses(world, q12_cells)
+    for isp_id, cbg, addresses in q12_addresses:
+        streams.setdefault(isp_id, ([], []))[0].append(
+            (isp_id, cbg, addresses))
+    for block in q3_blocks:
+        incumbent = world.block_competition[block].incumbent_isp_id
+        streams.setdefault(incumbent, ([], []))[1].append(block)
+    primers = {isp_id: session_primer(world, cells, blocks, policy=policy,
+                                      engine_config=engine_config)
+               for isp_id, (cells, blocks) in streams.items()}
 
     # Gate before slot: a cell blocked on its storefront's politeness
     # budget must not occupy a loop slot, or a run of same-ISP cells
     # would starve other storefronts of the very backfill this engine
     # exists for. Slot holders are therefore always runnable.
-    async def q12_task(cell) -> None:
+    async def q12_task(cell, addresses) -> None:
         async with gate.session(cell.isp_id):
             async with slots:
-                key = (cell.isp_id, cell.state)
-                if key not in grouped:
-                    grouped[key] = world.caf_addresses_by_cbg(*key)
                 _plan, records = await run_q12_cell_async(
-                    world, cell.isp_id, cell.cbg, grouped[key][cell.cbg],
+                    world, cell.isp_id, cell.cbg, addresses,
                     policy=policy, engine_config=engine_config,
                     max_replacements=max_replacements, monitor=monitor,
+                    primer=primers[cell.isp_id],
                 )
                 q12_records[cell] = tuple(records)
 
@@ -344,11 +360,11 @@ async def run_cells_async(
             async with slots:
                 q3_outcomes[block_geoid] = await run_q3_block_async(
                     world, block_geoid, engine_config, gate=gate,
-                    monitor=monitor)
+                    monitor=monitor, primer=primers[incumbent])
 
     async with asyncio.TaskGroup() as group:
-        for cell in q12_cells:
-            group.create_task(q12_task(cell))
+        for cell, (_isp_id, _cbg, addresses) in zip(q12_cells, q12_addresses):
+            group.create_task(q12_task(cell, addresses))
         for block_geoid in q3_blocks:
             group.create_task(q3_task(block_geoid))
     return q12_records, q3_outcomes, monitor.watermarks

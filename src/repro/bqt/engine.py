@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Mapping
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.bqt.responses import PageKind, QueryStatus, WebsiteResponse
 from repro.bqt.websites import CenturyLinkWebsite, IspWebsite
 from repro.isp.registry import isp_by_id
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.stats.distributions import SeedWords, stable_rng, stable_seed_sequences
+from repro.stats.distributions import SeedWords, stable_rng
 
 __all__ = ["EngineConfig", "BqtEngine", "QuerySession"]
 
@@ -111,7 +111,7 @@ class QuerySession:
         self._address = address
         seq = engine._session_seeds.get(address.address_id)
         self._rng = (
-            stable_rng(*engine._session_key(address.address_id)) if seq is None
+            stable_rng(*engine.session_key(address.address_id)) if seq is None
             else np.random.Generator(np.random.PCG64(seq)))
         self._attempt = 0
         self._elapsed = 0.0
@@ -208,7 +208,10 @@ class BqtEngine:
         self._seed = seed
         self._info = isp_by_id(website.isp_id)
         # address_id → the seed words of its session stream (see prime).
-        self._session_seeds: dict[str, SeedWords] = {}
+        self._session_seeds: Mapping[str, SeedWords] = {}
+        # Sidecar count only; the session's record bytes are untouched.
+        self._sessions_total = _METRICS.counter("bqt_sessions_total",
+                                                isp=website.isp_id)
 
     @property
     def isp_id(self) -> str:
@@ -220,24 +223,23 @@ class BqtEngine:
         """The proxy pool in use."""
         return self._pool
 
-    def _session_key(self, address_id: str) -> tuple:
+    @property
+    def website(self) -> IspWebsite:
+        """The storefront this engine queries."""
+        return self._website
+
+    def session_key(self, address_id: str) -> tuple:
+        """The :func:`stable_rng` key of one address's session stream."""
         return (self._seed, "engine", self.isp_id, address_id)
 
-    def prime(self, addresses: Iterable[StreetAddress]) -> None:
-        """Seed the streams of a cell's sessions in one batch.
+    def prime(self, seeds: Mapping[str, SeedWords]) -> None:
+        """Use batched seed words for sessions: ``address_id`` → the
+        words of its stream (see :mod:`repro.bqt.priming`).
 
-        Precomputes the seed words of each address's session stream,
-        and, on an :class:`IspWebsite`, the cell's one-shot address
-        rolls (:meth:`IspWebsite.prime`). Records are unchanged: a
-        session or roll the cell did not prime derives its stream
-        through :func:`stable_rng` as before.
+        Records are unchanged: a session without words derives its
+        stream through :func:`stable_rng`.
         """
-        addresses = list(addresses)
-        ids = [address.address_id for address in addresses]
-        self._session_seeds = dict(zip(ids, stable_seed_sequences(
-            self._session_key(address_id) for address_id in ids)))
-        if isinstance(self._website, IspWebsite):
-            self._website.prime(addresses)
+        self._session_seeds = seeds
 
     # ------------------------------------------------------------------
     def _draw_query_seconds(self, rng: np.random.Generator) -> float:
@@ -248,9 +250,7 @@ class BqtEngine:
 
     def begin(self, address: StreetAddress) -> QuerySession:
         """Open a resumable session for one address."""
-        # Sidecar count only; the session's record bytes are untouched.
-        _METRICS.counter("bqt_sessions_total",
-                         isp=self._website.isp_id).inc()
+        self._sessions_total.inc()
         return QuerySession(self, address)
 
     def query(self, address: StreetAddress) -> QueryRecord:

@@ -10,10 +10,13 @@ total attempts (collected + errored).
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
+
+from repro.stats.distributions import choice_cdf, draw_index
 
 __all__ = [
     "ErrorCategory",
@@ -88,11 +91,21 @@ def sample_error_category(
     the remaining weights renormalized; falls back to ``OTHER`` when
     the exclusion empties the mix.
     """
+    categories, cdf = _error_cdf(isp_id, exclude)
+    if not categories:
+        return ErrorCategory.OTHER
+    return categories[draw_index(cdf, rng)]
+
+
+@lru_cache(maxsize=None)
+def _error_cdf(
+    isp_id: str, exclude: tuple[ErrorCategory, ...],
+) -> tuple[list[ErrorCategory], list[float]]:
     mix = ERROR_MIX_BY_ISP.get(isp_id)
     if mix is None:
         raise KeyError(f"no error mix for ISP {isp_id!r}")
     categories = [c for c in mix if c not in exclude]
     if not categories:
-        return ErrorCategory.OTHER
+        return [], []
     weights = np.asarray([mix[c] for c in categories], dtype=float)
-    return categories[int(rng.choice(len(categories), p=weights / weights.sum()))]
+    return categories, choice_cdf(weights / weights.sum())

@@ -59,7 +59,12 @@ def _endpoint_kinds(
 
 
 class ProxyPool:
-    """A finite pool of endpoints with round-robin-with-reuse rotation."""
+    """A finite pool of endpoints with round-robin-with-reuse rotation.
+
+    An endpoint is built when a query first reaches it; one not built
+    yet is a fresh endpoint (no queries, no suspicion), which is what
+    :meth:`least_suspicious` and :meth:`mean_suspicion` see of it.
+    """
 
     def __init__(self, size: int = 64, residential_fraction: float = 0.7,
                  seed: int = 0):
@@ -67,36 +72,46 @@ class ProxyPool:
             raise ValueError("pool size must be positive")
         if not 0.0 <= residential_fraction <= 1.0:
             raise ValueError("residential_fraction must be in [0, 1]")
-        self._endpoints = [
-            ProxyEndpoint(endpoint_id=f"ip-{index:04d}", kind=kind)
-            for index, kind in enumerate(
-                _endpoint_kinds(seed, size, residential_fraction))
-        ]
+        self._kinds = _endpoint_kinds(seed, size, residential_fraction)
+        self._built: dict[int, ProxyEndpoint] = {}
         self._cursor = 0
         self.rotations = 0
 
     def __len__(self) -> int:
-        return len(self._endpoints)
+        return len(self._kinds)
+
+    def _endpoint(self, index: int) -> ProxyEndpoint:
+        endpoint = self._built.get(index)
+        if endpoint is None:
+            endpoint = self._built[index] = ProxyEndpoint(
+                endpoint_id=f"ip-{index:04d}", kind=self._kinds[index])
+        return endpoint
+
+    @property
+    def _endpoints(self) -> list[ProxyEndpoint]:
+        """Every endpoint, in order, building the ones not reached yet."""
+        return [self._endpoint(index) for index in range(len(self._kinds))]
 
     @property
     def current(self) -> ProxyEndpoint:
         """The endpoint queries are currently routed through."""
-        return self._endpoints[self._cursor]
+        return self._endpoint(self._cursor)
 
     def rotate(self) -> ProxyEndpoint:
         """Move to the next endpoint (wraps; suspicion persists, as it
         does for a real pool within one collection campaign)."""
-        self._cursor = (self._cursor + 1) % len(self._endpoints)
+        self._cursor = (self._cursor + 1) % len(self._kinds)
         self.rotations += 1
         return self.current
 
     def least_suspicious(self) -> ProxyEndpoint:
         """Jump to the cleanest endpoint (used after repeated failures)."""
-        best_index = min(range(len(self._endpoints)),
-                         key=lambda i: self._endpoints[i].suspicion)
-        self._cursor = best_index
+        endpoints = self._endpoints
+        self._cursor = min(range(len(endpoints)),
+                           key=lambda i: endpoints[i].suspicion)
         return self.current
 
     def mean_suspicion(self) -> float:
         """Pool-wide average suspicion (observability hook)."""
-        return sum(e.suspicion for e in self._endpoints) / len(self._endpoints)
+        endpoints = self._endpoints
+        return sum(e.suspicion for e in endpoints) / len(endpoints)

@@ -25,7 +25,7 @@ import numpy as np
 from repro.addresses.models import StreetAddress
 from repro.bqt.responses import PageKind, WebsiteResponse
 from repro.isp.deployment import GroundTruth, ServiceTruth
-from repro.stats.distributions import stable_rng, stable_uniforms
+from repro.stats.distributions import stable_rng
 
 __all__ = ["IspWebsite", "build_website"]
 
@@ -73,7 +73,7 @@ class IspWebsite:
         self._truth = ground_truth
         self._rates = rates
         self._seed = seed
-        # (purpose, address_id) → roll, for the cell being queried.
+        # (purpose, address_id) → roll, for the cells being queried.
         self._rolls: dict[tuple[str, str], float] = {}
 
     # The roll memo caches pure functions of its keys: a pickled
@@ -92,10 +92,11 @@ class IspWebsite:
         key = (purpose, address.address_id)
         roll = self._rolls.get(key)
         if roll is None:
-            roll = self._rolls[key] = float(stable_rng(*self._roll_key(*key)).random())
+            roll = self._rolls[key] = float(stable_rng(*self.roll_key(*key)).random())
         return roll
 
-    def _roll_key(self, purpose: str, address_id: str) -> tuple:
+    def roll_key(self, purpose: str, address_id: str) -> tuple:
+        """The :func:`stable_rng` key of one address's one-shot roll."""
         return (self._seed, "site", self.isp_id, purpose, address_id)
 
     def _roll_purposes(self, truth: ServiceTruth) -> list[str]:
@@ -111,20 +112,23 @@ class IspWebsite:
             purposes.append("nf")
         return purposes
 
-    def prime(self, addresses: Iterable[StreetAddress]) -> None:
-        """Start a cell: replace the roll memo with the rolls of the
-        cell's ``addresses``, computed in one batch.
+    def roll_keys(self, addresses: Iterable[StreetAddress]) -> list[tuple[str, str]]:
+        """The ``(purpose, address_id)`` rolls queries of ``addresses`` can read."""
+        isp_id, truth_for = self.isp_id, self._truth.truth_for
+        return [(purpose, address.address_id)
+                for address in addresses
+                for purpose in self._roll_purposes(
+                    truth_for(isp_id, address.address_id))]
+
+    def prime(self, rolls: dict[tuple[str, str], float]) -> None:
+        """Replace the roll memo with batched rolls (see
+        :mod:`repro.bqt.priming`); misses are added to ``rolls``.
 
         The memo only ever holds values :meth:`_address_roll` would
         compute itself, so a cell that finds its rolls replaced by a
-        concurrent cell's merely recomputes them.
+        later window's merely recomputes them.
         """
-        keys = [(purpose, address.address_id)
-                for address in addresses
-                for purpose in self._roll_purposes(
-                    self._truth.truth_for(self.isp_id, address.address_id))]
-        self._rolls = dict(zip(keys, stable_uniforms(
-            self._roll_key(*key) for key in keys)))
+        self._rolls = rolls
 
     def has_persistent_dropdown_miss(self, address: StreetAddress) -> bool:
         """Whether this address never resolves in the dropdown."""

@@ -19,15 +19,24 @@ addresses, never on which other cells ran before it. That independence
 is what lets :mod:`repro.runtime` shard a campaign across processes and
 merge the shard logs back into a result bit-identical to this module's
 sequential loops.
+
+A driver that runs many cells passes each one the same
+:func:`session_primer`, which seeds the sessions of a window of cells
+at a time (:mod:`repro.bqt.priming`); a cell run without one is primed
+as a window of one. Priming is a cache and never changes a record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
+from typing import Iterable
 
 from repro.addresses.models import StreetAddress
 from repro.bqt.engine import EngineConfig
 from repro.bqt.logbook import QueryLog, QueryRecord
+from repro.bqt.priming import SessionPrimer, Sessions
 from repro.bqt.responses import QueryStatus
 from repro.core.sampling import SamplePlan, SamplingPolicy, plan_cbg_sample
 from repro.synth.world import World
@@ -39,12 +48,14 @@ __all__ = [
     "Q3BlockOutcome",
     "collect_q3_dataset",
     "q3_block_candidates",
+    "q12_cell_addresses",
     "q12_cell_setup",
     "q12_query_sequence",
     "q3_block_setup",
     "q3_query_sequence",
     "run_q12_cell",
     "run_q3_block",
+    "session_primer",
     "settle_q12_record",
     "settle_q3_mode",
 ]
@@ -149,6 +160,86 @@ def q12_query_sequence(plan: SamplePlan, max_replacements: int):
             replacements_used += 1
 
 
+def _q12_cell(
+    world: World,
+    isp_id: str,
+    cbg: str,
+    addresses: list[StreetAddress],
+    policy: SamplingPolicy,
+    engine_config: EngineConfig | None,
+) -> tuple[tuple, Sessions]:
+    engine = world.engine_for(isp_id, engine_config)
+    plan = plan_cbg_sample(cbg, addresses, policy, seed=world.config.seed)
+    # Reserve draws derive their streams on demand.
+    return (engine, plan), [(engine, plan.selected)]
+
+
+def _q3_block(
+    world: World,
+    block_geoid: str,
+    engine_config: EngineConfig | None,
+) -> tuple[tuple | None, Sessions]:
+    competition = world.block_competition[block_geoid]
+    incumbent = competition.incumbent_isp_id
+    caf_addresses = world.caf_addresses_in_block(incumbent, block_geoid)
+    non_caf = world.zillow.non_caf_in_block(block_geoid)
+    if not caf_addresses or not non_caf:
+        return None, []
+    outcome = Q3BlockOutcome(
+        block_geoid=block_geoid, incumbent_isp_id=incumbent, records=())
+    engines = {
+        "incumbent": world.engine_for(incumbent, engine_config),
+        "cable": (world.engine_for(competition.cable_isp_id, engine_config)
+                  if competition.cable_isp_id else None),
+    }
+    sessions = [(engines["incumbent"], caf_addresses + non_caf)]
+    if engines["cable"] is not None:
+        sessions.append((engines["cable"], non_caf))
+    return (outcome, engines, caf_addresses, non_caf), sessions
+
+
+def session_primer(
+    world: World,
+    q12_cells: Iterable[tuple[str, str, list[StreetAddress]]] = (),
+    q3_blocks: Iterable[str] = (),
+    policy: SamplingPolicy | None = None,
+    engine_config: EngineConfig | None = None,
+) -> SessionPrimer:
+    """The session primer for a run of cells, in the order they run.
+
+    ``q12_cells`` are ``(isp_id, cbg, addresses)`` cells, run before the
+    ``q3_blocks``. Pass the primer to every cell's
+    :func:`run_q12_cell` / :func:`run_q3_block` (or their async twins)
+    with the ``policy`` and ``engine_config`` it was built with.
+    """
+    policy = policy or SamplingPolicy()
+    return SessionPrimer(chain(
+        (((isp_id, cbg), partial(_q12_cell, world, isp_id, cbg, addresses,
+                                 policy, engine_config))
+         for isp_id, cbg, addresses in q12_cells),
+        ((block_geoid, partial(_q3_block, world, block_geoid, engine_config))
+         for block_geoid in q3_blocks)))
+
+
+def q12_cell_addresses(
+    world: World, cells: Iterable,
+) -> list[tuple[str, str, list[StreetAddress]]]:
+    """``(isp_id, cbg, addresses)`` for cells with ``isp_id``, ``state``
+    and ``cbg`` (e.g. :class:`repro.runtime.shards.Q12Cell`).
+
+    :meth:`World.caf_addresses_by_cbg` regroups a whole (ISP, state)
+    footprint per call, so the grouping is shared across the cells.
+    """
+    grouped: dict[tuple[str, str], dict] = {}
+    resolved = []
+    for cell in cells:
+        key = (cell.isp_id, cell.state)
+        if key not in grouped:
+            grouped[key] = world.caf_addresses_by_cbg(*key)
+        resolved.append((cell.isp_id, cell.cbg, grouped[key][cell.cbg]))
+    return resolved
+
+
 def q12_cell_setup(
     world: World,
     isp_id: str,
@@ -156,19 +247,19 @@ def q12_cell_setup(
     addresses: list[StreetAddress],
     policy: SamplingPolicy | None = None,
     engine_config: EngineConfig | None = None,
+    primer: SessionPrimer | None = None,
 ):
     """The Q1/Q2 cell drivers' shared prologue: fresh engine + plan.
 
     Single-sourced (like :func:`q12_query_sequence`) so the blocking
     and asyncio drivers cannot drift in how a cell's engine is seeded
     or its sample planned. The engine is primed for the plan's selected
-    addresses; reserve draws derive their streams on demand.
+    addresses, by ``primer`` or, without one, as a window of one.
     """
-    policy = policy or SamplingPolicy()
-    engine = world.engine_for(isp_id, engine_config)
-    plan = plan_cbg_sample(cbg, addresses, policy, seed=world.config.seed)
-    engine.prime(plan.selected)
-    return engine, plan
+    if primer is None:
+        primer = session_primer(world, [(isp_id, cbg, addresses)],
+                                policy=policy, engine_config=engine_config)
+    return primer.setup((isp_id, cbg))
 
 
 def run_q12_cell(
@@ -179,6 +270,7 @@ def run_q12_cell(
     policy: SamplingPolicy | None = None,
     engine_config: EngineConfig | None = None,
     max_replacements: int = 2,
+    primer: SessionPrimer | None = None,
 ) -> tuple[SamplePlan, list[QueryRecord]]:
     """Query one (ISP, CBG) cell against a fresh engine.
 
@@ -186,11 +278,13 @@ def run_q12_cell(
     is deterministic in (world seed, CBG, addresses), and the fresh
     engine (with its fresh proxy pool) makes the record stream
     deterministic in the same inputs — independent of every other cell.
+    ``primer`` (see :func:`session_primer`) only saves seeding work.
     """
     if max_replacements < 0:
         raise ValueError("max_replacements must be non-negative")
     engine, plan = q12_cell_setup(world, isp_id, cbg, addresses,
-                                  policy=policy, engine_config=engine_config)
+                                  policy=policy, engine_config=engine_config,
+                                  primer=primer)
     records: list[QueryRecord] = []
     sequence = q12_query_sequence(plan, max_replacements)
     try:
@@ -229,19 +323,23 @@ class CollectionCampaign:
         """Collect for every (ISP, state) cell with a CAF footprint."""
         result = CollectionResult(log=QueryLog())
         states = states or self._world.config.states
-        for isp_id in isps:
-            for state in states:
-                by_cbg = self._world.caf_addresses_by_cbg(isp_id, state)
-                for cbg, addresses in sorted(by_cbg.items()):
-                    plan, records = run_q12_cell(
-                        self._world, isp_id, cbg, addresses,
-                        policy=self._policy,
-                        engine_config=self._engine_config,
-                        max_replacements=self._max_replacements,
-                    )
-                    result.plans[(isp_id, cbg)] = plan
-                    result.cbg_totals[(isp_id, cbg)] = plan.population_size
-                    result.log.extend(records)
+        cells = [(isp_id, cbg, addresses)
+                 for isp_id in isps for state in states
+                 for cbg, addresses in sorted(
+                     self._world.caf_addresses_by_cbg(isp_id, state).items())]
+        primer = session_primer(self._world, cells, policy=self._policy,
+                                engine_config=self._engine_config)
+        for isp_id, cbg, addresses in cells:
+            plan, records = run_q12_cell(
+                self._world, isp_id, cbg, addresses,
+                policy=self._policy,
+                engine_config=self._engine_config,
+                max_replacements=self._max_replacements,
+                primer=primer,
+            )
+            result.plans[(isp_id, cbg)] = plan
+            result.cbg_totals[(isp_id, cbg)] = plan.population_size
+            result.log.extend(records)
         return result
 
 
@@ -316,6 +414,7 @@ def q3_block_setup(
     world: World,
     block_geoid: str,
     engine_config: EngineConfig | None = None,
+    primer: SessionPrimer | None = None,
 ):
     """The Q3 block drivers' shared prologue.
 
@@ -324,31 +423,20 @@ def q3_block_setup(
     engine map (cable ``None`` without overlap), and the two address
     lists — or ``None`` when the block is not analyzed (no CAF or no
     non-CAF addresses). Single-sourced so the blocking and asyncio
-    drivers cannot drift in block eligibility or engine seeding.
+    drivers cannot drift in block eligibility or engine seeding. The
+    engines are primed by ``primer`` or, without one, as a window of one.
     """
-    competition = world.block_competition[block_geoid]
-    incumbent = competition.incumbent_isp_id
-    caf_addresses = world.caf_addresses_in_block(incumbent, block_geoid)
-    non_caf = world.zillow.non_caf_in_block(block_geoid)
-    if not caf_addresses or not non_caf:
-        return None
-    outcome = Q3BlockOutcome(
-        block_geoid=block_geoid, incumbent_isp_id=incumbent, records=())
-    engines = {
-        "incumbent": world.engine_for(incumbent, engine_config),
-        "cable": (world.engine_for(competition.cable_isp_id, engine_config)
-                  if competition.cable_isp_id else None),
-    }
-    engines["incumbent"].prime(caf_addresses + non_caf)
-    if engines["cable"] is not None:
-        engines["cable"].prime(non_caf)
-    return outcome, engines, caf_addresses, non_caf
+    if primer is None:
+        primer = session_primer(world, q3_blocks=[block_geoid],
+                                engine_config=engine_config)
+    return primer.setup(block_geoid)
 
 
 def run_q3_block(
     world: World,
     block_geoid: str,
     engine_config: EngineConfig | None = None,
+    primer: SessionPrimer | None = None,
 ) -> Q3BlockOutcome | None:
     """Query one Q3 census block against fresh engines.
 
@@ -358,7 +446,7 @@ def run_q3_block(
     the cable query returned serviceable. Returns ``None`` when the
     block has no CAF or no non-CAF addresses (it is not analyzed).
     """
-    setup = q3_block_setup(world, block_geoid, engine_config)
+    setup = q3_block_setup(world, block_geoid, engine_config, primer)
     if setup is None:
         return None
     outcome, engines, caf_addresses, non_caf = setup
@@ -382,8 +470,11 @@ def collect_q3_dataset(
     """Run the Q3 campaign over the world's analyzed blocks."""
     collection = Q3Collection(log=QueryLog())
     analyzed: list[str] = []
-    for block_geoid in q3_block_candidates(world, states):
-        outcome = run_q3_block(world, block_geoid, engine_config)
+    blocks = q3_block_candidates(world, states)
+    primer = session_primer(world, q3_blocks=blocks,
+                            engine_config=engine_config)
+    for block_geoid in blocks:
+        outcome = run_q3_block(world, block_geoid, engine_config, primer)
         if outcome is None:
             continue
         analyzed.append(block_geoid)

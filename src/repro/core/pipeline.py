@@ -28,6 +28,7 @@ from repro.core.monopoly import MonopolyAnalysis, analyze_q3
 from repro.core.sampling import SamplingPolicy
 from repro.core.serviceability import ServiceabilityAnalysis
 from repro.fcc.urban_rate_survey import generate_urban_rate_survey
+from repro.gcquiet import gc_quiet
 from repro.synth.world import World, build_world
 from repro.synth.scenario import ScenarioConfig
 
@@ -125,6 +126,7 @@ def cached_world(cache_dir: str, scenario: ScenarioConfig) -> World:
     return world
 
 
+@gc_quiet()
 def run_full_audit(
     world: World | None = None,
     scenario: ScenarioConfig | None = None,

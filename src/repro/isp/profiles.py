@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -31,6 +32,7 @@ import numpy as np
 
 from repro.isp.plans import BroadbandPlan
 from repro.isp.registry import IspInfo, isp_by_id
+from repro.stats.distributions import choice_cdf, draw_index
 
 __all__ = ["IspProfile", "PROFILES", "profile_for"]
 
@@ -42,6 +44,15 @@ _BAND_SPEEDS: Mapping[str, tuple[tuple[float, float], ...]] = {
     "100-999": ((100.0, 0.45), (200.0, 0.25), (300.0, 0.2), (500.0, 0.1)),
     "1000+": ((1000.0, 0.7), (2000.0, 0.2), (5000.0, 0.1)),
 }
+
+
+def _band_cdf(pairs: tuple[tuple[float, float], ...]):
+    speeds, weights = zip(*pairs)
+    return speeds, choice_cdf(np.asarray(weights) / sum(weights))
+
+
+# Each band's speeds and the CDF its draws search (see choice_cdf).
+_BAND_CDFS = {label: _band_cdf(pairs) for label, pairs in _BAND_SPEEDS.items()}
 
 # Nominal marketing speeds for plans with no guaranteed minimum.
 _NO_GUARANTEE_NOMINAL_MBPS = {
@@ -130,20 +141,24 @@ class IspProfile:
     # ------------------------------------------------------------------
     # Plans
     # ------------------------------------------------------------------
-    def sample_tier_label(self, rng: np.random.Generator) -> str:
-        """Draw a Table 1 tier label from the served mix."""
+    @cached_property
+    def _tier_cdf(self) -> tuple[list[str], list[float]]:
         labels = list(self.served_tier_mix)
         weights = np.asarray([self.served_tier_mix[label] for label in labels])
-        return labels[int(rng.choice(len(labels), p=weights / weights.sum()))]
+        return labels, choice_cdf(weights / weights.sum())
+
+    def sample_tier_label(self, rng: np.random.Generator) -> str:
+        """Draw a Table 1 tier label from the served mix."""
+        labels, cdf = self._tier_cdf
+        return labels[draw_index(cdf, rng)]
 
     def speed_for_label(self, label: str, rng: np.random.Generator) -> float:
         """Concrete download speed for a tier label."""
         if label in _EXACT_LABEL_SPEEDS:
             return _EXACT_LABEL_SPEEDS[label]
-        if label in _BAND_SPEEDS:
-            speeds, weights = zip(*_BAND_SPEEDS[label])
-            probabilities = np.asarray(weights) / sum(weights)
-            return float(speeds[int(rng.choice(len(speeds), p=probabilities))])
+        if label in _BAND_CDFS:
+            speeds, cdf = _BAND_CDFS[label]
+            return float(speeds[draw_index(cdf, rng)])
         if label in _NO_GUARANTEE_NOMINAL_MBPS:
             return _NO_GUARANTEE_NOMINAL_MBPS[label]
         if label == "Unknown Plan":

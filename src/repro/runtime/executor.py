@@ -60,8 +60,10 @@ from repro.core.collection import (
     CollectionResult,
     Q3BlockOutcome,
     Q3Collection,
+    q12_cell_addresses,
     run_q12_cell,
     run_q3_block,
+    session_primer,
 )
 from repro.core.sampling import SamplingPolicy
 from repro.obs.metrics import REGISTRY as _METRICS
@@ -275,23 +277,19 @@ def run_shard(
                 result.q3_outcomes[block_geoid] = q3_outcomes[block_geoid]
             return result
         result = ShardResult(index=spec.index, count=spec.count)
-        # caf_addresses_by_cbg regroups a whole (ISP, state) footprint
-        # per call; cache the grouping across this shard's cells.
-        grouped: dict[tuple[str, str], dict] = {}
-        for cell in spec.q12_cells:
-            key = (cell.isp_id, cell.state)
-            if key not in grouped:
-                grouped[key] = world.caf_addresses_by_cbg(*key)
-            addresses = grouped[key][cell.cbg]
+        q12_cells = q12_cell_addresses(world, spec.q12_cells)
+        primer = session_primer(world, q12_cells, spec.q3_blocks,
+                                policy=policy, engine_config=engine_config)
+        for cell, (isp_id, cbg, addresses) in zip(spec.q12_cells, q12_cells):
             _plan, records = run_q12_cell(
-                world, cell.isp_id, cell.cbg, addresses,
+                world, isp_id, cbg, addresses,
                 policy=policy, engine_config=engine_config,
-                max_replacements=max_replacements,
+                max_replacements=max_replacements, primer=primer,
             )
             result.q12_records[cell] = tuple(records)
-            result.politeness[cell.isp_id] = 1
+            result.politeness[isp_id] = 1
         for block_geoid in spec.q3_blocks:
-            outcome = run_q3_block(world, block_geoid, engine_config)
+            outcome = run_q3_block(world, block_geoid, engine_config, primer)
             result.q3_outcomes[block_geoid] = outcome
             if outcome is not None:
                 for record in outcome.records:

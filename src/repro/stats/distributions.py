@@ -11,6 +11,7 @@ reproducible from a scenario seed.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -26,6 +27,8 @@ __all__ = [
     "bounded_zipf_shares",
     "lognormal_sizes",
     "categorical_sample",
+    "choice_cdf",
+    "draw_index",
     "allocate_counts",
 ]
 
@@ -283,6 +286,26 @@ def categorical_sample(
         raise ValueError("weights sum to zero")
     indices = rng.choice(len(labels), size=size, p=weights / total)
     return [labels[i] for i in indices]
+
+
+def choice_cdf(p: np.ndarray) -> list[float]:
+    """The table ``Generator.choice(len(p), p=p)`` searches, as floats.
+
+    ``choice`` builds ``cdf = p.cumsum(); cdf /= cdf[-1]`` on every call
+    and returns ``cdf.searchsorted(rng.random(), side="right")``. A
+    caller drawing from the same ``p`` many times computes this once and
+    draws with :func:`draw_index`: same index, same one double taken
+    from ``rng``. ``p`` must be the exact array the caller would pass to
+    ``choice`` (already normalized the same way).
+    """
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def draw_index(cdf: Sequence[float], rng: np.random.Generator) -> int:
+    """``int(rng.choice(len(p), p=p))`` for ``cdf = choice_cdf(p)``."""
+    return bisect_right(cdf, rng.random())
 
 
 def allocate_counts(total: int, shares: Sequence[float]) -> np.ndarray:

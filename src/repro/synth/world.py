@@ -36,6 +36,7 @@ from repro.bqt.proxy import ProxyPool
 from repro.bqt.websites import IspWebsite, build_website
 from repro.fcc.broadband_map import BroadbandMap, FabricRecord
 from repro.fcc.form477 import AvailabilityRecord, Form477
+from repro.gcquiet import gc_quiet
 from repro.geo.entities import BlockGroup, CensusBlock, StateGeography
 from repro.geo.fips import state_by_abbreviation
 from repro.geo.generator import GeographyConfig, generate_state_geography
@@ -506,6 +507,7 @@ def _apply_q3_structure(
 # Entry point
 # ----------------------------------------------------------------------
 
+@gc_quiet()
 def build_world(config: ScenarioConfig | None = None) -> World:
     """Build the full synthetic universe for a scenario."""
     config = config or ScenarioConfig()

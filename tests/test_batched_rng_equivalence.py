@@ -19,6 +19,7 @@ import pytest
 
 # The batched twins' consumers, imported so the fixture can patch them.
 import repro.bqt.engine
+import repro.bqt.priming  # noqa: F401
 import repro.bqt.websites
 import repro.isp.deployment  # noqa: F401
 import repro.synth.churn  # noqa: F401
@@ -48,7 +49,7 @@ SCALAR_TWINS = {
                                      for key in keys],
 }
 CONSUMERS = {"repro.isp.deployment", "repro.synth.churn",
-             "repro.bqt.websites", "repro.bqt.engine"}
+             "repro.bqt.priming"}
 
 
 @pytest.fixture

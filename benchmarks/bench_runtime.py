@@ -1,16 +1,11 @@
 """Runtime — shard-count speedup curves and cache hits.
 
-Two speedups matter and both are reported:
-
-* **Virtual campaign speedup** — what the paper's fleet arithmetic
-  cares about: the wall-clock a polite worker fleet needs for the
-  merged query log (LPT schedule per ISP), at 1 vs N workers. This is
-  deterministic in the world seed and must exceed 1 at 4 workers.
-* **Host speedup** — process-pool wall time vs the serial backend on
-  this machine, and the distributed fleet (leased subprocess workers
-  over local sockets) vs both — the overhead of fault tolerance.
-  Reported only when the host has the cores to show it (a single-core
-  CI box runs the pool at a slowdown, not a speedup).
+The speedup reported is measured on the host: process-pool wall time
+vs the serial backend, and the distributed fleet (leased subprocess
+workers over local sockets) vs both — the overhead of fault
+tolerance. The pool line is reported only when the host has the cores
+to show it (a single-core CI box runs the pool at a slowdown, not a
+speedup).
 
 Like ``bench_longitudinal.py``, the results are also written
 machine-readable — ``benchmarks/BENCH_runtime.json`` — so runtime
@@ -28,13 +23,10 @@ import os
 import time
 from pathlib import Path
 
-from repro.bqt.logbook import QueryLog
-from repro.bqt.scheduler import schedule_campaign
 from repro.core.pipeline import run_full_audit
 from repro.runtime import AuditCache, RuntimeConfig, audit_digest, execute_campaign
 
 SHARD_COUNTS = (1, 2, 4, 8)
-WORKER_COUNTS = (1, 2, 4, 8)
 OUTPUT_PATH = Path(__file__).with_name("BENCH_runtime.json")
 
 
@@ -52,13 +44,6 @@ def _merge_results(section: str, payload: dict) -> None:
     results[section] = payload
     OUTPUT_PATH.write_text(json.dumps(results, indent=2, sort_keys=True)
                            + "\n", encoding="utf-8")
-
-
-def _merged_log(collection, q3) -> QueryLog:
-    log = QueryLog()
-    log.extend(collection.log)
-    log.extend(q3.log)
-    return log
 
 
 def test_shard_speedup_curve(benchmark, context):
@@ -82,22 +67,7 @@ def test_shard_speedup_curve(benchmark, context):
         print(f"  shards={shards}: {host_seconds[shards]:.2f}s "
               f"(x{host_seconds[1] / host_seconds[shards]:.2f} vs 1 shard)")
 
-    log = _merged_log(collection, q3)
-    baseline_days = schedule_campaign(log, workers_per_isp=1).wall_clock_days
-    print("virtual campaign speedup by polite fleet size "
-          "(LPT schedule of the merged log):")
-    speedups = {}
-    for workers in WORKER_COUNTS:
-        days = schedule_campaign(log, workers_per_isp=workers).wall_clock_days
-        speedups[workers] = baseline_days / days
-        print(f"  workers={workers}: {days:.2f} days "
-              f"(speedup x{speedups[workers]:.2f})")
-
-    # The acceptance bar: 4 polite workers beat 1 on campaign wall-clock.
-    assert speedups[4] > 1.0
-    # Sharding itself must not distort the measurement: same record
-    # count at every shard count (merge is bit-identical; see tests).
-    assert len(log) > 0
+    assert len(collection.log) + len(q3.log) > 0
 
     pool_seconds = distributed_seconds = None
     cores = os.cpu_count() or 1
@@ -140,10 +110,6 @@ def test_shard_speedup_curve(benchmark, context):
         "host_seconds_by_shards": {
             str(shards): round(seconds, 4)
             for shards, seconds in host_seconds.items()
-        },
-        "virtual_speedup_by_workers": {
-            str(workers): round(speedup, 4)
-            for workers, speedup in speedups.items()
         },
         "process_pool_seconds": (None if pool_seconds is None
                                  else round(pool_seconds, 4)),

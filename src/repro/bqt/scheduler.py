@@ -11,31 +11,20 @@ politeness cap on concurrent sessions per storefront, using the
 longest-processing-time-first heuristic (LPT is within 4/3 of the
 optimal makespan for identical machines, which is more than accurate
 enough for capacity planning).
-
-:func:`schedule_interleaved_campaign` models the asyncio engine
-(:mod:`repro.bqt.aio`) instead: event-loop workers that are *not*
-bound to one ISP but interleave up to ``max_inflight`` sessions across
-storefronts, still under the per-ISP cap. A dedicated fleet idles
-whenever its own ISP's queue drains; an interleaved loop backfills the
-wait with another storefront's session, so the same politeness budget
-buys a shorter campaign and higher utilization.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.bqt.campaign import MAX_POLITE_WORKERS_PER_ISP, SECONDS_PER_DAY
 from repro.bqt.logbook import QueryLog
 
 __all__ = [
-    "InterleavedSchedule",
     "WorkerSchedule",
-    "plan_to_target",
     "schedule_campaign",
-    "schedule_interleaved_campaign",
 ]
 
 
@@ -88,56 +77,6 @@ def _lpt_makespan_seconds(durations: list[float], workers: int) -> float:
     return max(loads)
 
 
-@dataclass(frozen=True)
-class InterleavedSchedule:
-    """The outcome of scheduling a campaign onto interleaving loops.
-
-    ``loops × max_inflight`` session slots serve every storefront's
-    queue, but no storefront ever sees more than ``per_isp_cap``
-    concurrent sessions. The wall clock is the larger of the two
-    binding constraints: the pooled capacity bound (all slots busy)
-    and the slowest single storefront at its politeness cap.
-    """
-
-    loops: int
-    max_inflight: int
-    per_isp_cap: int
-    per_isp_makespan_days: Mapping[str, float]
-    total_query_seconds: float
-
-    @property
-    def slots(self) -> int:
-        """Total concurrent session slots across the loop fleet."""
-        return self.loops * self.max_inflight
-
-    @property
-    def wall_clock_days(self) -> float:
-        """Max of the capacity bound and the per-ISP politeness bound."""
-        capacity_days = self.total_query_seconds / self.slots / SECONDS_PER_DAY
-        return max(capacity_days, max(self.per_isp_makespan_days.values()))
-
-    @property
-    def utilization(self) -> float:
-        """Busy time over allocated slot time (1.0 = perfectly packed)."""
-        allocated = self.wall_clock_days * SECONDS_PER_DAY * self.slots
-        if allocated == 0:
-            return 1.0
-        return self.total_query_seconds / allocated
-
-    def render(self) -> str:
-        """Human-readable schedule summary."""
-        lines = [
-            f"campaign wall clock: {self.wall_clock_days:.2f} days "
-            f"({self.loops} loops x {self.max_inflight} in-flight, "
-            f"utilization {self.utilization:.0%})"
-        ]
-        for isp in sorted(self.per_isp_makespan_days):
-            lines.append(
-                f"  {isp}: cap {self.per_isp_cap}, politeness-bound "
-                f"{self.per_isp_makespan_days[isp]:.2f} days")
-        return "\n".join(lines)
-
-
 def schedule_campaign(
     log: QueryLog,
     workers_per_isp: int | Mapping[str, int] = MAX_POLITE_WORKERS_PER_ISP,
@@ -170,104 +109,3 @@ def schedule_campaign(
         total_query_seconds=total_seconds,
     )
 
-
-def schedule_interleaved_campaign(
-    log: QueryLog,
-    loops: int = 1,
-    max_inflight: int = 8,
-    per_isp_cap: int = MAX_POLITE_WORKERS_PER_ISP,
-) -> InterleavedSchedule:
-    """Schedule a campaign onto ``loops`` interleaving event loops.
-
-    Each loop holds at most ``max_inflight`` sessions, and each
-    storefront at most ``per_isp_cap`` across all loops (the politeness
-    constraint the :class:`~repro.bqt.aio.PolitenessGate` enforces at
-    runtime). Per-ISP makespans are LPT at the storefront's effective
-    concurrency ``min(per_isp_cap, slots)``; the campaign wall clock
-    additionally respects the pooled slot capacity.
-    """
-    if loops < 1:
-        raise ValueError("need at least one event loop")
-    if max_inflight < 1:
-        raise ValueError("max_inflight must be at least 1")
-    if per_isp_cap < 1:
-        raise ValueError("per_isp_cap must be at least 1")
-    if per_isp_cap > MAX_POLITE_WORKERS_PER_ISP:
-        raise ValueError(
-            f"per_isp_cap {per_isp_cap} exceeds the politeness cap of "
-            f"{MAX_POLITE_WORKERS_PER_ISP}")
-    isps = log.isps()
-    if not isps:
-        raise ValueError("empty query log")
-    slots = loops * max_inflight
-    makespans = {}
-    total_seconds = 0.0
-    for isp in isps:
-        durations = log.query_times(isp)
-        total_seconds += sum(durations)
-        makespans[isp] = _lpt_makespan_seconds(
-            durations, min(per_isp_cap, slots)) / SECONDS_PER_DAY
-    return InterleavedSchedule(
-        loops=loops,
-        max_inflight=max_inflight,
-        per_isp_cap=per_isp_cap,
-        per_isp_makespan_days=makespans,
-        total_query_seconds=total_seconds,
-    )
-
-
-def plan_to_target(
-    log: QueryLog,
-    target_seconds: float,
-    max_loops: int = MAX_POLITE_WORKERS_PER_ISP,
-    max_inflight_ceiling: int = 32,
-    per_isp_cap: int = MAX_POLITE_WORKERS_PER_ISP,
-    cap_for_loops: "Callable[[int], int] | None" = None,
-) -> InterleavedSchedule:
-    """Smallest interleaving fleet predicted to meet a wall-clock target.
-
-    Enumerates candidate ``(loops, max_inflight)`` fleets (in-flight
-    bounds grow in powers of two up to ``max_inflight_ceiling``),
-    prices each with :func:`schedule_interleaved_campaign`, and returns
-    the cheapest schedule — fewest total session slots, then fewest
-    loops — whose predicted wall clock is at most ``target_seconds``.
-    When no candidate meets the target (the politeness cap bounds how
-    fast any fleet can go), the fastest schedule is returned instead;
-    callers can compare ``wall_clock_days`` against the target to see
-    which case they got.
-
-    ``cap_for_loops`` (when given) maps a candidate's loop count to
-    the fleet-wide per-ISP concurrency that fleet can actually
-    achieve, overriding ``per_isp_cap``. The distributed executor
-    floor-divides the politeness cap across workers, so a 3-worker
-    fleet reaches only ``3 * (cap // 3)`` concurrent sessions per
-    storefront — pricing candidates with the undivided cap would
-    overpromise.
-    """
-    if target_seconds <= 0:
-        raise ValueError("target_seconds must be positive")
-    if max_loops < 1:
-        raise ValueError("need at least one event loop")
-    if max_inflight_ceiling < 1:
-        raise ValueError("max_inflight_ceiling must be at least 1")
-    inflight_options = []
-    bound = 1
-    while bound <= max_inflight_ceiling:
-        inflight_options.append(bound)
-        bound *= 2
-    candidates = [
-        schedule_interleaved_campaign(
-            log, loops=loops, max_inflight=max_inflight,
-            per_isp_cap=(per_isp_cap if cap_for_loops is None
-                         else cap_for_loops(loops)))
-        for loops in range(1, max_loops + 1)
-        for max_inflight in inflight_options
-    ]
-    feasible = [
-        schedule for schedule in candidates
-        if schedule.wall_clock_days * SECONDS_PER_DAY <= target_seconds
-    ]
-    if feasible:
-        return min(feasible, key=lambda s: (s.slots, s.loops, s.max_inflight))
-    return min(candidates,
-               key=lambda s: (s.wall_clock_days, s.slots, s.loops))

@@ -4,7 +4,7 @@ Usage::
 
     caf-audit run [--scale tiny|small|paper] [--seed N]
                   [--shards N] [--workers N] [--backend B]
-                  [--max-inflight N] [--target-seconds S] [--resume]
+                  [--max-inflight N] [--resume]
                   [--checkpoint-dir DIR] [--cache-dir DIR]
                   [--pace none|real|X] [--worker-address ADDR]
     caf-audit panel --waves N [--churn-cell-rate P] [--store DIR]
@@ -134,12 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="distributed backend: seconds the coordinator waits for a "
              "worker's result before re-leasing its shard (default "
              "120; must exceed the slowest shard's compute time)")
-    run_parser.add_argument(
-        "--target-seconds", type=float, default=None, metavar="S",
-        help="autotune the distributed fleet (workers, max-inflight, "
-             "shards) to meet a virtual campaign wall-clock of S "
-             "seconds; implies --backend distributed and overrides "
-             "--shards/--workers/--max-inflight")
     run_parser.add_argument(
         "--checkpoint-dir", metavar="DIR",
         help="write per-shard checkpoints under DIR")
@@ -455,8 +449,6 @@ def _command_run(args: argparse.Namespace) -> int:
     engine_config = _engine_config_for_pace("run", args.pace)
     if engine_config == 2:
         return 2
-    if args.target_seconds is not None:
-        return _run_autotuned(args, scenario, engine_config)
     parallel = _runtime_config(
         args, "run", checkpoint_dir=args.checkpoint_dir,
         resume=args.resume, cache_dir=args.cache_dir,
@@ -467,66 +459,6 @@ def _command_run(args: argparse.Namespace) -> int:
     on_progress = _shard_progress_printer() if parallel is not None else None
     report = run_full_audit(scenario=scenario, parallel=parallel,
                             on_progress=on_progress,
-                            engine_config=engine_config)
-    print("\n".join(report.summary_lines()))
-    return 0
-
-
-def _run_autotuned(args: argparse.Namespace, scenario,
-                   engine_config=None) -> int:
-    """``run --target-seconds``: size the distributed fleet, then run."""
-    if args.backend not in ("auto", "distributed"):
-        print(f"caf-audit run: --target-seconds autotunes the distributed "
-              f"backend; it cannot be combined with "
-              f"--backend {args.backend}", file=sys.stderr)
-        return 2
-    if args.target_seconds <= 0:
-        print("caf-audit run: --target-seconds must be positive",
-              file=sys.stderr)
-        return 2
-    from repro.runtime.distributed import autotune_runtime_config
-    from repro.synth.world import build_world
-
-    if args.cache_dir:
-        # The cache short-circuit must come before the pilot shard
-        # and world build, or a warm cache still pays minutes of
-        # autotuning work it is about to throw away. Both lookups are
-        # the exact ones run_full_audit performs (shared helpers).
-        # A paced run never takes it: serving a rehearsal from cache
-        # would skip the rehearsal (pacing is part of the digest).
-        from repro.core.pipeline import cached_audit_report, cached_world
-
-        cached = (cached_audit_report(args.cache_dir, scenario)
-                  if engine_config is None else None)
-        if cached is not None:
-            print("audit served from cache; autotuning skipped",
-                  file=sys.stderr)
-            print("\n".join(cached.summary_lines()))
-            return 0
-        # Audit miss: the scenario-keyed world store can still spare
-        # the build (and a fresh build warms it for the next run).
-        world = cached_world(args.cache_dir, scenario)
-    else:
-        world = build_world(scenario)
-    # Persist the autotune decision next to the checkpoints (or cache):
-    # a repeat or --resume run with the same world and target reloads
-    # the plan instead of re-running the serial pilot shard.
-    plan_dir = args.checkpoint_dir or args.cache_dir
-    plan = autotune_runtime_config(world, args.target_seconds,
-                                   plan_dir=plan_dir)
-    print(plan.render(), file=sys.stderr)
-    try:
-        parallel = plan.runtime_config(
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-            cache_dir=args.cache_dir,
-            lease_timeout=args.lease_timeout,
-        )
-    except ValueError as error:
-        print(f"caf-audit run: {error}", file=sys.stderr)
-        return 2
-    report = run_full_audit(world=world, parallel=parallel,
-                            on_progress=_shard_progress_printer(),
                             engine_config=engine_config)
     print("\n".join(report.summary_lines()))
     return 0

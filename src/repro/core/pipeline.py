@@ -89,43 +89,6 @@ class AuditReport:
         return lines
 
 
-def cached_audit_report(
-    cache_dir: str,
-    scenario: ScenarioConfig,
-    policy: SamplingPolicy | None = None,
-    use_urban_survey: bool = True,
-) -> "AuditReport | None":
-    """The cache's report for this audit, or None on a miss.
-
-    Exactly the lookup :func:`run_full_audit` performs before building
-    anything — same digest inputs (study ISP set included), same
-    defaults — exposed so other entry points (the CLI's autotuned
-    path) cannot drift from it.
-    """
-    from repro.runtime.cache import AuditCache, audit_digest
-
-    return AuditCache(cache_dir).get(audit_digest(
-        scenario, policy, CAF_STUDY_ISP_IDS,
-        use_urban_survey=use_urban_survey))
-
-
-def cached_world(cache_dir: str, scenario: ScenarioConfig) -> World:
-    """This scenario's world via the cache's world store.
-
-    A hit skips the build; a miss builds and warms the store — the
-    same behavior :func:`run_full_audit` has on an audit miss.
-    """
-    from repro.runtime.cache import AuditCache, world_digest
-
-    cache = AuditCache(cache_dir)
-    scenario_key = world_digest(scenario)
-    world = cache.get_world(scenario_key)
-    if world is None:
-        world = build_world(scenario)
-        cache.put_world(scenario_key, world)
-    return world
-
-
 @gc_quiet()
 def run_full_audit(
     world: World | None = None,
@@ -154,7 +117,7 @@ def run_full_audit(
     """
     cache = digest = None
     if parallel is not None and parallel.cache_dir is not None:
-        from repro.runtime.cache import AuditCache, audit_digest
+        from repro.runtime.cache import AuditCache, audit_digest, world_digest
 
         cache = AuditCache(parallel.cache_dir)
         digest = audit_digest(
@@ -166,11 +129,15 @@ def run_full_audit(
         if cached is not None:
             return cached
     if world is None:
-        if cache is not None:
-            world = cached_world(parallel.cache_dir,
-                                 scenario or ScenarioConfig())
-        else:
+        scenario = scenario or ScenarioConfig()
+        if cache is None:
             world = build_world(scenario)
+        else:
+            world_key = world_digest(scenario)
+            world = cache.get_world(world_key)
+            if world is None:
+                world = build_world(scenario)
+                cache.put_world(world_key, world)
     if parallel is not None:
         from repro.runtime.executor import execute_campaign
 

@@ -11,9 +11,8 @@ an asyncio event loop, always under the per-storefront politeness cap
 shard logs back into results bit-identical to the sequential campaign
 (:mod:`~repro.runtime.merge`), leases shards to a fleet of worker
 processes that stream checksummed results back over sockets
-(:mod:`~repro.runtime.distributed`, ``backend="distributed"``, with a
-coordinator-side autotuner that sizes the fleet for a target
-wall-clock), checkpoints completed shards crash-safely so an
+(:mod:`~repro.runtime.distributed`, ``backend="distributed"``),
+checkpoints completed shards crash-safely so an
 interrupted run resumes without recomputation (:mod:`~repro.runtime
 .checkpoint`; every campaign restores from and records to its shard
 log in the one loop, :func:`~repro.runtime.executor.dispatch_shards`),
@@ -39,11 +38,7 @@ from repro.runtime.cache import (
     world_digest,
 )
 from repro.runtime.checkpoint import CheckpointStore, campaign_fingerprint
-from repro.runtime.distributed import (
-    AutotunePlan,
-    autotune_runtime_config,
-    run_worker,
-)
+from repro.runtime.distributed import run_worker
 from repro.runtime.executor import (
     RuntimeConfig,
     ShardResult,
@@ -56,14 +51,12 @@ from repro.runtime.shards import Q12Cell, ShardSpec, enumerate_q12_cells, plan_s
 
 __all__ = [
     "AuditCache",
-    "AutotunePlan",
     "CheckpointStore",
     "Q12Cell",
     "RuntimeConfig",
     "ShardResult",
     "ShardSpec",
     "audit_digest",
-    "autotune_runtime_config",
     "cache_dir_from_environment",
     "cache_max_bytes_from_environment",
     "world_digest",

@@ -60,9 +60,13 @@ CACHE_FORMAT_VERSION = 1
 
 _WORLDS_SUBDIR = "worlds"
 # ImportError covers entries pickled by an older code version whose
-# classes have since moved — stale, so a miss, not a crash.
+# classes have since moved — stale, so a miss, not a crash. Damaged
+# bytes surface as whatever the opcode they land on raises (a bad
+# UTF-8 string, a bogus protocol number, a garbage length), so those
+# errors are misses too.
 _PICKLE_LOAD_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
-                       ImportError, OSError)
+                       ImportError, OSError, ValueError, TypeError,
+                       IndexError, OverflowError, MemoryError)
 
 
 def canonical_json(payload) -> str:
@@ -78,7 +82,7 @@ def content_digest(payload: dict) -> str:
     """SHA-256 of a payload's canonical JSON form.
 
     The one fingerprinting idiom every store shares (audit cache,
-    checkpoints, panel store, autotune plans, per-cell wave digests):
+    checkpoints, panel store, per-cell wave digests):
     sorted keys, no whitespace, UTF-8. Canonicalization must never
     drift between stores — a digest written by one and compared by
     another would silently stop matching — so it lives only here.

@@ -33,13 +33,6 @@ transport shipped here — used by the equivalence and chaos tests —
 is local subprocess workers (``repro worker --connect <address>``)
 over a Unix-domain socket, with TCP ``host:port`` addresses also
 accepted so workers can run on other machines.
-
-**Autotuning.** :func:`autotune_runtime_config` is the
-coordinator-side sizing step: run one pilot shard serially, extrapolate
-its query log to the whole campaign, and ask
-:func:`repro.bqt.scheduler.plan_to_target` for the smallest
-``(workers, max_inflight)`` fleet predicted to meet a target
-wall-clock; the CLI exposes it as ``caf-audit run --target-seconds``.
 """
 
 from __future__ import annotations
@@ -56,35 +49,25 @@ import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import BinaryIO, Callable
 
-from repro.bqt.campaign import MAX_POLITE_WORKERS_PER_ISP, SECONDS_PER_DAY
 from repro.bqt.engine import EngineConfig
-from repro.bqt.logbook import QueryLog
-from repro.bqt.scheduler import plan_to_target
 from repro.core.sampling import SamplingPolicy
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.trace import (BUFFER as _TRACE_BUFFER, adopt_trace_context,
                              current_trace_context, drain_spans,
                              ingest_spans, span, tracing_enabled)
 from repro.runtime.checkpoint import _shard_from_json, _shard_to_json
-from repro.runtime.shards import (
-    DEFAULT_ISPS,
-    Q12Cell,
-    ShardSpec,
-    plan_shards,
-)
+from repro.runtime.shards import Q12Cell, ShardSpec
 from repro.synth.scenario import ScenarioConfig
 from repro.synth.world import World
 
 __all__ = [
-    "AutotunePlan",
     "DEFAULT_HEARTBEAT_INTERVAL",
     "FrameError",
     "MISSED_HEARTBEAT_LIMIT",
-    "autotune_runtime_config",
     "read_frame",
     "run_shards_distributed",
     "run_worker",
@@ -796,195 +779,3 @@ def run_shards_distributed(
             except OSError:
                 pass
 
-
-# ----------------------------------------------------------------------
-# Coordinator-side autotuning
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AutotunePlan:
-    """The fleet the autotuner picked for a target wall-clock.
-
-    ``predicted_seconds`` is the interleaved-utilization model's
-    forecast for the *virtual* campaign wall clock (the quantity the
-    paper's fleet arithmetic reasons about) under the chosen fleet; it
-    exceeds ``target_seconds`` only when no fleet under the politeness
-    cap can meet the target.
-    """
-
-    shards: int
-    workers: int
-    max_inflight: int
-    predicted_seconds: float
-    target_seconds: float
-    pilot_shards: int
-    pilot_query_seconds: float
-
-    @property
-    def meets_target(self) -> bool:
-        """Whether the forecast makes the requested wall clock."""
-        return self.predicted_seconds <= self.target_seconds
-
-    def runtime_config(self, **overrides):
-        """The distributed :class:`~repro.runtime.executor
-        .RuntimeConfig` realizing this plan; ``overrides`` pass
-        through (checkpoint/cache/resume flags, typically)."""
-        from repro.runtime.executor import RuntimeConfig
-
-        return RuntimeConfig(
-            shards=self.shards,
-            workers=self.workers,
-            backend="distributed",
-            # max_inflight 1 means sync workers; requesting an event
-            # loop bounded to one session would only add overhead.
-            max_inflight=self.max_inflight if self.max_inflight > 1 else None,
-            **overrides,
-        )
-
-    def render(self) -> str:
-        """One human-readable line for the CLI."""
-        verdict = ("meets" if self.meets_target else
-                   "politeness-bound above")
-        return (f"autotuned fleet: {self.workers} workers x "
-                f"{self.max_inflight} in-flight, {self.shards} shards — "
-                f"predicted {self.predicted_seconds:.1f}s virtual "
-                f"wall-clock ({verdict} the {self.target_seconds:.1f}s "
-                f"target)")
-
-
-def _autotune_plan_key(
-    world: World,
-    target_seconds: float,
-    pilot_shards: int,
-    shard_oversubscription: int,
-    policy: SamplingPolicy | None,
-    isps: tuple[str, ...],
-    states: tuple[str, ...] | None,
-    q3_states: tuple[str, ...] | None,
-    max_replacements: int,
-) -> str:
-    """Content key of one autotune decision: world digest + target +
-    every sizing input that shapes the pilot or the candidate fleet."""
-    from repro.runtime.cache import content_digest, world_digest
-
-    return content_digest({
-        "world": world_digest(world.config),
-        "target_seconds": target_seconds,
-        "pilot_shards": pilot_shards,
-        "shard_oversubscription": shard_oversubscription,
-        "policy": None if policy is None else asdict(policy),
-        "isps": list(isps),
-        "states": None if states is None else list(states),
-        "q3_states": None if q3_states is None else list(q3_states),
-        "max_replacements": max_replacements,
-    })[:16]
-
-
-def _load_autotune_plan(path: Path) -> AutotunePlan | None:
-    """Parse a persisted plan, or None when missing/damaged/stale."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    fields = {f.name for f in AutotunePlan.__dataclass_fields__.values()}
-    if not isinstance(data, dict) or set(data) != fields:
-        return None
-    try:
-        return AutotunePlan(**data)
-    except (TypeError, ValueError):
-        return None
-
-
-def autotune_runtime_config(
-    world: World,
-    target_seconds: float,
-    pilot_shards: int = 8,
-    shard_oversubscription: int = 4,
-    policy: SamplingPolicy | None = None,
-    engine_config: EngineConfig | None = None,
-    max_replacements: int = 2,
-    isps: tuple[str, ...] = DEFAULT_ISPS,
-    states: tuple[str, ...] | None = None,
-    q3_states: tuple[str, ...] | None = None,
-    plan_dir: str | Path | None = None,
-) -> AutotunePlan:
-    """Pick ``workers``/``max_inflight``/``shards`` for a wall-clock target.
-
-    The coordinator-side sizing step: run *one* pilot shard (of a
-    ``pilot_shards``-way partition) serially, extrapolate its query log
-    to the full campaign by replication, and hand the result to
-    :func:`repro.bqt.scheduler.plan_to_target`, which prices candidate
-    fleets with the interleaved-utilization model under the politeness
-    cap. Shards are oversubscribed ``shard_oversubscription``-fold over
-    the worker count so the lease board can rebalance around slow or
-    dead workers at useful granularity.
-
-    ``plan_dir`` persists the decision: the plan is stored under a
-    content key of (world digest, target, sizing inputs), and a later
-    call with the same key returns the stored plan *without running
-    the pilot shard* — so a ``--resume`` of a fully-checkpointed
-    campaign (or any repeat run) no longer pays a serial pilot whose
-    work the fleet then discards.
-    """
-    from repro.runtime.atomicio import atomic_write_text
-    from repro.runtime.executor import run_shard
-
-    if target_seconds <= 0:
-        raise ValueError("target_seconds must be positive")
-    if pilot_shards < 1:
-        raise ValueError("pilot_shards must be positive")
-    if shard_oversubscription < 1:
-        raise ValueError("shard_oversubscription must be positive")
-    plan_path: Path | None = None
-    if plan_dir is not None:
-        key = _autotune_plan_key(world, target_seconds, pilot_shards,
-                                 shard_oversubscription, policy, isps,
-                                 states, q3_states, max_replacements)
-        plan_path = Path(plan_dir) / f"autotune-{key}.json"
-        stored = _load_autotune_plan(plan_path)
-        if stored is not None:
-            return stored
-    specs = plan_shards(world, pilot_shards, isps=isps, states=states,
-                        q3_states=q3_states)
-    pilot = next((spec for spec in specs if spec.num_units), None)
-    if pilot is None:
-        raise ValueError("campaign has no cells to autotune against")
-    result = run_shard(world.config, pilot, policy=policy,
-                       engine_config=engine_config,
-                       max_replacements=max_replacements, world=world)
-    pilot_log = QueryLog()
-    for records in result.q12_records.values():
-        pilot_log.extend(records)
-    for outcome in result.q3_outcomes.values():
-        if outcome is not None:
-            pilot_log.extend(outcome.records)
-    if not pilot_log.isps():
-        raise ValueError("pilot shard produced no queries; the campaign "
-                         "is too small to autotune")
-    # Round-robin dealing balances shards to within one cell, so the
-    # whole campaign looks like pilot_shards copies of the pilot.
-    full_log = QueryLog()
-    for _ in range(pilot_shards):
-        full_log.extend(pilot_log)
-    # Price candidates with the per-ISP concurrency a fleet of that
-    # size actually achieves: the executor floor-divides the
-    # politeness cap across workers, stranding part of the budget at
-    # non-divisor counts (RuntimeConfig.per_shard_isp_cap_for).
-    schedule = plan_to_target(
-        full_log, target_seconds,
-        cap_for_loops=lambda loops:
-            max(1, MAX_POLITE_WORKERS_PER_ISP // loops) * loops)
-    plan = AutotunePlan(
-        shards=schedule.loops * shard_oversubscription,
-        workers=schedule.loops,
-        max_inflight=schedule.max_inflight,
-        predicted_seconds=schedule.wall_clock_days * SECONDS_PER_DAY,
-        target_seconds=target_seconds,
-        pilot_shards=pilot_shards,
-        pilot_query_seconds=pilot_log.total_virtual_seconds(),
-    )
-    if plan_path is not None:
-        plan_path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(plan_path, json.dumps(asdict(plan), indent=2,
-                                                sort_keys=True))
-    return plan

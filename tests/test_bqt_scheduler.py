@@ -8,9 +8,7 @@ from repro.bqt.responses import QueryStatus
 from repro.bqt.scheduler import (
     WorkerSchedule,
     _lpt_makespan_seconds,
-    plan_to_target,
     schedule_campaign,
-    schedule_interleaved_campaign,
 )
 
 
@@ -144,150 +142,3 @@ class TestScheduleCampaign:
         assert schedule.per_isp_makespan_days["att"] == \
             schedule.wall_clock_days
 
-
-class TestInterleavedSchedule:
-    def _skewed_log(self):
-        """Four storefronts, one dominant: the shape where dedicated
-        per-ISP fleets idle and interleaving pays."""
-        log = QueryLog()
-        for i in range(40):
-            log.append(record("att", f"a-{i}", 100.0))
-        for isp in ("centurylink", "frontier", "consolidated"):
-            for i in range(6):
-                log.append(record(isp, f"{isp}-{i}", 10.0))
-        return log
-
-    def test_politeness_cap_validated(self):
-        with pytest.raises(ValueError, match="politeness"):
-            schedule_interleaved_campaign(
-                self._skewed_log(),
-                per_isp_cap=MAX_POLITE_WORKERS_PER_ISP + 1)
-        with pytest.raises(ValueError):
-            schedule_interleaved_campaign(self._skewed_log(), loops=0)
-        with pytest.raises(ValueError):
-            schedule_interleaved_campaign(self._skewed_log(), max_inflight=0)
-        with pytest.raises(ValueError):
-            schedule_interleaved_campaign(QueryLog())
-
-    def test_wall_clock_bounded_below_by_capacity_and_politeness(self):
-        log = self._skewed_log()
-        schedule = schedule_interleaved_campaign(log, loops=2, max_inflight=4)
-        total_days = sum(sum(log.query_times(i)) for i in log.isps()) / 86_400.0
-        assert schedule.wall_clock_days >= total_days / schedule.slots
-        assert schedule.wall_clock_days >= max(
-            schedule.per_isp_makespan_days.values())
-        assert 0.0 < schedule.utilization <= 1.0
-
-    def test_interleaving_beats_dedicated_fleet_on_skewed_load(self):
-        """Same politeness budget, same 8 concurrent sessions: loops
-        that backfill idle storefront time finish strictly earlier and
-        pack the campaign strictly better than per-ISP-bound
-        containers (whose sessions idle once their own ISP drains)."""
-        log = self._skewed_log()
-        dedicated = schedule_campaign(log, workers_per_isp=2)  # 8 sessions
-        interleaved = schedule_interleaved_campaign(
-            log, loops=1, max_inflight=8, per_isp_cap=8)
-        assert interleaved.wall_clock_days < dedicated.wall_clock_days
-        # Campaign-level packing: busy time over (campaign wall clock x
-        # all 8 sessions). WorkerSchedule.utilization is fleet-local,
-        # so compute the dedicated fleet's campaign-level figure here.
-        dedicated_campaign_util = dedicated.total_query_seconds / (
-            dedicated.wall_clock_days * 86_400.0 * 8)
-        assert interleaved.utilization > dedicated_campaign_util
-
-    def test_per_isp_concurrency_never_exceeds_cap(self):
-        log = self._skewed_log()
-        capped = schedule_interleaved_campaign(
-            log, loops=4, max_inflight=8, per_isp_cap=2)
-        # With the cap at 2, att's makespan is bound by 2-way LPT even
-        # though 32 slots exist.
-        att_days = 40 * 100.0 / 86_400.0
-        assert capped.per_isp_makespan_days["att"] >= att_days / 2 * 0.99
-
-    def test_more_inflight_never_slower(self):
-        log = self._skewed_log()
-        previous = None
-        for inflight in (1, 2, 4, 8):
-            schedule = schedule_interleaved_campaign(
-                log, loops=1, max_inflight=inflight)
-            if previous is not None:
-                assert schedule.wall_clock_days <= previous + 1e-12
-            previous = schedule.wall_clock_days
-
-    def test_render(self):
-        schedule = schedule_interleaved_campaign(
-            self._skewed_log(), loops=2, max_inflight=4)
-        text = schedule.render()
-        assert "2 loops x 4 in-flight" in text
-        assert "utilization" in text
-
-
-class TestPlanToTarget:
-    """The autotuner primitive: smallest fleet meeting a wall-clock."""
-
-    def _log(self):
-        log = QueryLog()
-        for isp in ("att", "centurylink"):
-            for i in range(20):
-                log.append(record(isp, f"{isp}-{i}", 100.0))
-        return log
-
-    def test_generous_target_picks_one_slot(self):
-        log = self._log()
-        total = log.total_virtual_seconds()
-        schedule = plan_to_target(log, target_seconds=total * 10)
-        assert schedule.loops == 1
-        assert schedule.max_inflight == 1
-
-    def test_feasible_target_met_with_minimal_slots(self):
-        log = self._log()
-        total = log.total_virtual_seconds()
-        schedule = plan_to_target(log, target_seconds=total / 3)
-        assert schedule.wall_clock_days * 86_400.0 <= total / 3
-        # Any strictly smaller fleet must miss the target.
-        slots = schedule.slots
-        for loops in range(1, schedule.loops + 1):
-            for inflight in (1, 2, 4, 8, 16, 32):
-                if loops * inflight >= slots:
-                    continue
-                worse = schedule_interleaved_campaign(
-                    log, loops=loops, max_inflight=inflight)
-                assert worse.wall_clock_days * 86_400.0 > total / 3
-
-    def test_impossible_target_returns_fastest(self):
-        log = self._log()
-        schedule = plan_to_target(log, target_seconds=1e-6)
-        assert schedule.wall_clock_days * 86_400.0 > 1e-6
-        # Nothing in the search space beats the returned schedule.
-        fastest = min(
-            schedule_interleaved_campaign(log, loops=loops,
-                                          max_inflight=inflight)
-            .wall_clock_days
-            for loops in range(1, MAX_POLITE_WORKERS_PER_ISP + 1)
-            for inflight in (1, 2, 4, 8, 16, 32))
-        assert schedule.wall_clock_days == pytest.approx(fastest)
-
-    def test_cap_for_loops_prices_divided_budget(self):
-        """The distributed executor floor-divides the politeness cap
-        across workers; pricing candidates with the achievable
-        (divided) cap can never predict a faster campaign than the
-        undivided model."""
-        log = self._log()
-        undivided = plan_to_target(log, target_seconds=1e-6)
-        divided = plan_to_target(
-            log, target_seconds=1e-6,
-            cap_for_loops=lambda loops:
-                max(1, MAX_POLITE_WORKERS_PER_ISP // loops) * loops)
-        assert divided.wall_clock_days >= undivided.wall_clock_days - 1e-12
-        # And the divided model's cap is what that fleet can reach.
-        assert divided.per_isp_cap == max(
-            1, MAX_POLITE_WORKERS_PER_ISP // divided.loops) * divided.loops
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            plan_to_target(self._log(), target_seconds=0.0)
-        with pytest.raises(ValueError):
-            plan_to_target(self._log(), target_seconds=10.0, max_loops=0)
-        with pytest.raises(ValueError):
-            plan_to_target(self._log(), target_seconds=10.0,
-                           max_inflight_ceiling=0)

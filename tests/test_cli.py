@@ -63,7 +63,8 @@ class TestCommands:
         assert main(["run", "--workers", "0"]) == 2
         assert "workers must be positive" in capsys.readouterr().err
 
-    def test_run_with_cache_and_checkpoints(self, tmp_path, capsys):
+    def test_run_with_cache_and_checkpoints(self, tmp_path, capsys,
+                                            monkeypatch):
         args = ["run", "--scale", "tiny", "--shards", "2",
                 "--checkpoint-dir", str(tmp_path / "ckpt"),
                 "--cache-dir", str(tmp_path / "cache")]
@@ -72,7 +73,16 @@ class TestCommands:
         # Checkpoints are namespaced per campaign fingerprint.
         assert list((tmp_path / "ckpt").glob("*/shard-*.json"))
         assert list((tmp_path / "cache").glob("*.pkl"))
-        # Second run is a cache hit with identical output.
+        # Second run is a cache hit with identical output: it builds
+        # no world.
+        import repro.core.pipeline as pipeline_module
+        import repro.synth.world as world_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("world rebuilt despite cached audit")
+
+        monkeypatch.setattr(pipeline_module, "build_world", forbidden)
+        monkeypatch.setattr(world_module, "build_world", forbidden)
         assert main(args + ["--resume"]) == 0
         assert capsys.readouterr().out == first
 
@@ -270,9 +280,6 @@ class TestDistributedBackendFlags:
         args = build_parser().parse_args(
             ["run", "--backend", "distributed", "--workers", "2"])
         assert args.backend == "distributed"
-        args = build_parser().parse_args(
-            ["run", "--target-seconds", "3600"])
-        assert args.target_seconds == 3600.0
 
     def test_worker_parser(self):
         args = build_parser().parse_args(
@@ -295,40 +302,11 @@ class TestDistributedBackendFlags:
                      "--wedge-after", "-1"]) == 2
         assert "--wedge-after" in capsys.readouterr().err
 
-    def test_target_seconds_validation(self, capsys):
-        assert main(["run", "--scale", "tiny",
-                     "--target-seconds", "-5"]) == 2
-        assert "must be positive" in capsys.readouterr().err
-        assert main(["run", "--scale", "tiny", "--backend", "serial",
-                     "--target-seconds", "60"]) == 2
-        assert "distributed" in capsys.readouterr().err
-
     def test_lease_timeout_requires_distributed(self, capsys):
         assert main(["run", "--scale", "tiny", "--shards", "2",
                      "--lease-timeout", "60"]) == 2
         assert "lease_timeout requires the distributed backend" in \
             capsys.readouterr().err
-
-    def test_target_seconds_warm_cache_skips_autotune(
-            self, tmp_path, capsys, monkeypatch):
-        """A warm cache must short-circuit before the pilot shard and
-        world build, not after."""
-        cache_dir = str(tmp_path / "cache")
-        assert main(["run", "--scale", "tiny", "--shards", "2",
-                     "--cache-dir", cache_dir]) == 0
-        first = capsys.readouterr().out
-
-        import repro.synth.world as world_module
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("world rebuilt despite cached audit")
-
-        monkeypatch.setattr(world_module, "build_world", forbidden)
-        assert main(["run", "--scale", "tiny", "--cache-dir", cache_dir,
-                     "--target-seconds", "1e9"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == first
-        assert "autotuning skipped" in captured.err
 
     @pytest.mark.chaos
     def test_run_distributed_matches_sequential(self, capsys):
@@ -339,17 +317,6 @@ class TestDistributedBackendFlags:
         captured = capsys.readouterr()
         assert captured.out == sequential
         assert captured.err.count("[shard ") == 3
-
-    @pytest.mark.chaos
-    def test_run_autotuned_target_seconds(self, capsys):
-        assert main(["run", "--scale", "tiny"]) == 0
-        sequential = capsys.readouterr().out
-        assert main(["run", "--scale", "tiny",
-                     "--target-seconds", "1e9"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == sequential
-        assert "autotuned fleet:" in captured.err
-
 
 @pytest.mark.longitudinal
 class TestPanelCommand:

@@ -36,7 +36,6 @@ from repro.runtime.distributed import (
     _serve_connection,
     _spec_from_json,
     _spec_to_json,
-    autotune_runtime_config,
     read_frame,
     run_shards_distributed,
     write_frame,
@@ -695,61 +694,6 @@ class TestWorkerKillChaos:
                 max_respawns=1,
                 lease_timeout=30.0,
             )
-
-
-# ----------------------------------------------------------------------
-# Autotuning
-# ----------------------------------------------------------------------
-
-class TestAutotune:
-    def test_generous_target_picks_small_fleet(self, world):
-        plan = autotune_runtime_config(world, target_seconds=1e9)
-        assert plan.workers == 1
-        assert plan.meets_target
-        assert plan.shards >= plan.workers
-        config = plan.runtime_config()
-        assert config.backend == "distributed"
-        assert config.workers == 1
-
-    def test_impossible_target_is_politeness_bound(self, world):
-        from repro.bqt.campaign import MAX_POLITE_WORKERS_PER_ISP
-
-        plan = autotune_runtime_config(world, target_seconds=1.0)
-        assert not plan.meets_target
-        assert plan.predicted_seconds > 1.0
-        assert plan.workers <= MAX_POLITE_WORKERS_PER_ISP
-        assert "politeness-bound" in plan.render()
-        # The forecast must price the cap the executor actually grants
-        # — floor-divided across workers — so the politeness-bound
-        # fleet concurrency is workers * (cap // workers), never the
-        # undivided cap when workers does not divide it.
-        realized = plan.runtime_config()
-        achievable = (realized.per_shard_isp_cap
-                      * realized.concurrent_shards)
-        assert achievable <= MAX_POLITE_WORKERS_PER_ISP
-
-    def test_tighter_target_never_gets_smaller_fleet(self, world):
-        generous = autotune_runtime_config(world, target_seconds=1e9)
-        tight = autotune_runtime_config(world, target_seconds=3600.0)
-        assert (tight.workers * tight.max_inflight
-                >= generous.workers * generous.max_inflight)
-
-    def test_plan_carries_runtime_flags_through(self, world, tmp_path):
-        plan = autotune_runtime_config(world, target_seconds=1e9)
-        config = plan.runtime_config(checkpoint_dir=str(tmp_path),
-                                     resume=True)
-        assert config.checkpoint_dir == str(tmp_path)
-        assert config.resume
-
-    def test_validation(self, world):
-        with pytest.raises(ValueError):
-            autotune_runtime_config(world, target_seconds=0.0)
-        with pytest.raises(ValueError):
-            autotune_runtime_config(world, target_seconds=10.0,
-                                    pilot_shards=0)
-        with pytest.raises(ValueError):
-            autotune_runtime_config(world, target_seconds=10.0,
-                                    shard_oversubscription=0)
 
 
 @pytest.mark.chaos

@@ -4,9 +4,8 @@ The replay-equivalence scenarios (incremental wave == from-scratch
 re-collection, byte for byte) live in tests/test_equivalence_harness.py
 with the backend matrix; this file covers the subsystem's own
 mechanics: digest stability, delta planning, fold/merge conservation,
-wave resume (checkpoints and the panel store), the wave-scenario
-recipe fresh-interpreter workers rebuild evolved worlds from, and the
-persisted autotune plan.
+wave resume (checkpoints and the panel store), and the wave-scenario
+recipe fresh-interpreter workers rebuild evolved worlds from.
 """
 
 from __future__ import annotations
@@ -25,10 +24,7 @@ from repro.longitudinal import (
     diff_digests,
 )
 from repro.runtime import RuntimeConfig, execute_campaign
-from repro.runtime.distributed import (
-    _scenario_from_json,
-    autotune_runtime_config,
-)
+from repro.runtime.distributed import _scenario_from_json
 from repro.synth.churn import ChurnModel, WaveScenario, churned_world
 from repro.synth.scenario import ScenarioConfig
 
@@ -507,39 +503,6 @@ class TestProcessBackendRealizesWaves:
         for left, right in zip(serial, pooled):
             assert canonical_logbook_bytes(left.collection, left.q3) \
                 == canonical_logbook_bytes(right.collection, right.q3)
-
-
-class TestAutotunePlanStore:
-    def test_plan_persists_and_skips_pilot(self, world, tmp_path,
-                                           monkeypatch):
-        first = autotune_runtime_config(world, target_seconds=1e9,
-                                        plan_dir=tmp_path, **SUBSET)
-        stored = list(tmp_path.glob("autotune-*.json"))
-        assert len(stored) == 1
-
-        def refuse(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("pilot shard ran despite a stored plan")
-
-        monkeypatch.setattr(executor_module, "run_shard", refuse)
-        second = autotune_runtime_config(world, target_seconds=1e9,
-                                         plan_dir=tmp_path, **SUBSET)
-        assert second == first
-
-    def test_different_target_misses_the_store(self, world, tmp_path):
-        autotune_runtime_config(world, target_seconds=1e9,
-                                plan_dir=tmp_path, **SUBSET)
-        autotune_runtime_config(world, target_seconds=3600.0,
-                                plan_dir=tmp_path, **SUBSET)
-        assert len(list(tmp_path.glob("autotune-*.json"))) == 2
-
-    def test_damaged_plan_recomputes(self, world, tmp_path):
-        first = autotune_runtime_config(world, target_seconds=1e9,
-                                        plan_dir=tmp_path, **SUBSET)
-        (path,) = tmp_path.glob("autotune-*.json")
-        path.write_text("{not json", encoding="utf-8")
-        again = autotune_runtime_config(world, target_seconds=1e9,
-                                        plan_dir=tmp_path, **SUBSET)
-        assert again == first
 
 
 class TestPanelExperiment:

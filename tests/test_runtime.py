@@ -613,6 +613,24 @@ class TestAuditCache:
         assert path.with_suffix(".json").exists()
         assert cache.get("0" * 64) is None
 
+    @pytest.mark.parametrize("payload", [
+        b"\x80\x05\x8c\x01\xff\x94.",  # UnicodeDecodeError
+        b"\x80\x09N.",  # ValueError: unsupported pickle protocol
+    ])
+    def test_damaged_entry_is_a_miss(self, payload, tmp_path):
+        from repro.obs.metrics import REGISTRY
+
+        cache = AuditCache(tmp_path)
+        digest = "ab" * 32
+        misses = REGISTRY.counter("audit_cache_misses_total")
+        for path, load in ((cache.path_for(digest), cache.get),
+                           (cache.world_path_for(digest), cache.get_world)):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(payload)
+            before = misses.value
+            assert load(digest) is None
+            assert misses.value == before + 1
+
     def test_environment_wiring(self, monkeypatch, tmp_path):
         from repro.analysis.context import ExperimentContext
         from repro.runtime.cache import cache_dir_from_environment

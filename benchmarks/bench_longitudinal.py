@@ -18,9 +18,12 @@ too. Three measurements, three acceptance bars, all at 10% cell churn:
   across waves) against the full recompute that rebuilds an
   ``AuditDataset`` from the entire merged logbook, over a
   :data:`PANEL_HORIZONS`-wave panel: >= 3x aggregate.
-* **storage** — the format-2 panel store (cell CAS + thin manifests)
-  against the format-1 layout that serialized every cell into every
-  wave document: >= 2x fewer bytes on disk.
+* **storage** — the format-3 panel store (one cell pack per wave +
+  thin manifests) against the format-1 layout that serialized every
+  cell into every wave document: >= 2x fewer bytes on disk. The panel
+  keeps its analysis rows on disk next to the store, and
+  ``files_created`` counts the files each wave adds under that root
+  (cell pack, row pack, manifest), which CI holds at <= 3 per wave.
 
 Results are written machine-readable to
 ``benchmarks/BENCH_longitudinal.json`` so bench trajectories can be
@@ -138,16 +141,22 @@ def _run_panel_acceptance(world, tmp_path: Path) -> dict:
     """The 5-wave acceptance panel: per-wave analysis speedup and
     on-disk store shrink at 10% churn."""
     model = ChurnModel(cell_rate=ACCEPTANCE_CELL_RATE)
+    root = tmp_path / "panel-store"
     campaign = PanelCampaign(world, model=model, horizons=PANEL_HORIZONS,
-                             store_dir=str(tmp_path / "panel-store"))
-    rows = row_cache_for(campaign)
+                             store_dir=str(root))
+    rows = row_cache_for(campaign, directory=root)
     waves = []
+    files: set[Path] = set()
+    files_created = []
     v1_bytes = 0
     incremental_total = full_total = 0.0
     for outcome in campaign.waves():
         start = time.perf_counter()
         wave_analysis(outcome, cache=rows)
         incremental_seconds = time.perf_counter() - start
+        listing = {path for path in root.rglob("*") if path.is_file()}
+        files_created.append(len(listing - files))
+        files = listing
         start = time.perf_counter()
         full_wave_analysis(outcome)
         full_seconds = time.perf_counter() - start
@@ -183,6 +192,7 @@ def _run_panel_acceptance(world, tmp_path: Path) -> dict:
             "v1_bytes": v1_bytes,
             "shrink_at_10pct": round(v1_bytes / cas_bytes, 2)
             if cas_bytes else None,
+            "files_created": files_created,
         },
     }
 
@@ -228,7 +238,8 @@ def test_incremental_vs_scratch_waves(benchmark, context, tmp_path):
           f"{analysis['full_seconds_total']:.3f}s "
           f"(x{analysis['speedup_at_10pct']})")
     print(f"  5-wave store: CAS {store['cas_bytes']} bytes vs v1 "
-          f"{store['v1_bytes']} bytes (x{store['shrink_at_10pct']})")
+          f"{store['v1_bytes']} bytes (x{store['shrink_at_10pct']}), "
+          f"files per wave {store['files_created']}")
 
     # The acceptance bars. Collection: >= 3x at 10% churn (averaged
     # over the incremental waves, so one unlucky wave cannot flake the

@@ -25,11 +25,11 @@ O(total records). Equality with the full recompute is enforced by
 ``tests/harness/equivalence.py``.
 
 Rows are plain dicts; on disk each row is one compact binary column
-document (:mod:`repro.tabular.colio`, ``CACHE_FILE_FORMAT`` 2) whose
-typed buffers restore every float bit-exactly, so a row reloaded from
-the disk-backed cache is byte-equal to the row that was stored. A row
-file in any other format (the format-1 JSON-per-cell files included)
-is a miss that recomputes.
+document (:mod:`repro.tabular.colio`) whose typed buffers restore every
+float bit-exactly, so a row reloaded from the disk-backed cache is
+byte-equal to the row that was stored. A wave's fresh rows go out as
+one pack file (``CACHE_FILE_FORMAT`` 3); rows in any other format (the
+format-2 one-file-per-row layout included) are misses that recompute.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ from repro.bqt.responses import QueryStatus
 from repro.core.audit import AuditDataset, ComplianceStandard
 from repro.fcc.urban_rate_survey import generate_urban_rate_survey
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.runtime.atomicio import (atomic_write_batch,
-                                    sweep_stale_tmp_files)
+from repro.runtime.atomicio import atomic_write_pack, sweep_stale_tmp_files
 from repro.runtime.cache import content_digest
 from repro.stats.weighted import weighted_mean
-from repro.tabular.colio import decode_row_document, encode_row_document
+from repro.tabular.colio import (MAGIC, decode_row_document,
+                                 encode_row_document)
 from repro.tabular.frame import factorize
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,9 +73,9 @@ __all__ = [
 # bumping it orphans all persisted rows. The on-disk file layout is
 # versioned separately by CACHE_FILE_FORMAT.
 ROW_FORMAT_VERSION = 1
-# On-disk layout: 2 = binary column documents (tabular.colio, one .col
-# file per row).
-CACHE_FILE_FORMAT = 2
+# On-disk layout: 3 = binary column documents (tabular.colio), one pack
+# file per put.
+CACHE_FILE_FORMAT = 3
 _NAMESPACE_DIGITS = 16
 
 # Sentinel distinguishing "not cached" from a cached None row (a cell
@@ -248,18 +248,15 @@ def reduce_rows(q12_rows: list[dict], q3_rows: list[dict]) -> WaveAnalysis:
 class WaveRowCache:
     """Per-cell analysis rows keyed by the cells' world digests.
 
-    In-memory always; give ``directory`` to additionally persist each
-    row as one binary column document (``tabular.colio``, format 2)
-    under ``directory/<namespace16>/rows/``, so a resumed panel's
-    analysis is warm across processes. :meth:`put_many` publishes its
-    rows as one group commit (:func:`~repro.runtime.atomicio
-    .atomic_write_batch`: every file fsynced before its rename, one
-    directory barrier per batch), and :func:`wave_analysis` persists a
-    wave's fresh rows that way, in one batch at the end of the wave.
-    ``namespace`` must digest everything *besides* the cell digest
-    that shapes a row — the panel fingerprint (scenario, policy,
-    replacement budget) and the compliance standard — or two panels
-    could exchange rows.
+    In-memory always; give ``directory`` to also persist rows under
+    ``directory/<namespace16>/rows/`` so a resumed panel's analysis is
+    warm. :meth:`put_many` (a wave's fresh rows, from
+    :func:`wave_analysis`) streams its rows into one pack; each entry's
+    metadata names its kind and digest, so the first disk lookup reads
+    every pack once, keeping the intact entries. ``namespace`` must
+    digest everything *besides* the cell digest that shapes a row — the
+    panel fingerprint (scenario, policy, replacement budget) and the
+    compliance standard — or two panels could exchange rows.
     """
 
     def __init__(self, namespace: str, directory: str | Path | None = None):
@@ -268,6 +265,12 @@ class WaveRowCache:
                            else Path(directory) / namespace[:_NAMESPACE_DIGITS]
                            / "rows")
         self._rows: dict[tuple[str, str], dict | None] = {}
+        # (kind, digest) → the pack holding its intact entry; packs
+        # read so far, and those holding another namespace's entries.
+        self._located: dict[tuple[str, str], str] = {}
+        self._read_packs: set[str] = set()
+        self._foreign_packs: set[str] = set()
+        self._refreshed = False
         self.hits = 0
         self.misses = 0
         # Sidecar telemetry mirrors of the public counters above.
@@ -283,25 +286,16 @@ class WaveRowCache:
         """The on-disk row directory (None = memory only)."""
         return self._directory
 
-    def _path_for(self, kind: str, digest: str) -> Path:
-        """The format-2 binary column document for one row."""
-        return self._directory / f"{kind}-{digest}.col"
-
     def get(self, kind: str, digest: str):
         """A cached row (possibly ``None``), or the module-level miss
         sentinel; use :meth:`lookup` for the tuple form."""
         key = (kind, digest)
+        if key not in self._rows and not self._refreshed:
+            self.refresh()
         if key in self._rows:
             self.hits += 1
             self._metric_hits.inc()
             return self._rows[key]
-        if self._directory is not None:
-            row = self._load(kind, digest)
-            if row is not _MISS:
-                self._rows[key] = row
-                self.hits += 1
-                self._metric_hits.inc()
-                return row
         self.misses += 1
         self._metric_misses.inc()
         return _MISS
@@ -318,89 +312,88 @@ class WaveRowCache:
 
     def put_many(self, entries) -> None:
         """Cache ``(kind, digest, row)`` entries: in memory at once,
-        and on disk (when persistent) as one atomic batch."""
+        and on disk (when persistent) as one pack."""
         entries = list(entries)
         for kind, digest, row in entries:
             self._remember(kind, digest, row)
-        if self._directory is None or not entries:
+        if self._directory is None:
             return
-        self._directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_batch(
-            (self._path_for(kind, digest), self._encode(digest, row))
-            for kind, digest, row in entries)
+        published = atomic_write_pack(
+            self._directory,
+            (self._encode(kind, digest, row) for kind, digest, row in entries))
+        if published is not None:
+            self._read_packs.add(published[0])
+            for kind, digest, _ in entries:
+                self._located.setdefault((kind, digest), published[0])
 
     def _remember(self, kind: str, digest: str, row: dict | None) -> None:
         self._rows[(kind, digest)] = row
 
-    def _encode(self, digest: str, row: dict | None) -> bytes:
+    def _encode(self, kind: str, digest: str, row: dict | None) -> bytes:
         return encode_row_document(row, {
             "format": CACHE_FILE_FORMAT,
             "namespace": self._namespace,
+            "kind": kind,
             "digest": digest,
             # Wrapped so a cached None row checksums cleanly.
             "row_sha256": content_digest({"row": row}),
         })
 
-    def _load(self, kind: str, digest: str):
-        """Load one verified persisted row; damage is a miss.
+    def refresh(self) -> None:
+        """Read the packs not read yet, keeping every intact entry.
 
-        Like every durable store here, the payload is checksummed — a
-        corrupted-but-parseable row folded into a wave's weighted
-        rates would silently break the byte-equality contract. A
-        failing file is unlinked so the recompute's re-put replaces
-        it.
+        Rows are checksummed: a corrupted but parseable row folded into a
+        wave's rates would silently break the byte-equality contract.
+        Entries start at the column codec's magic, so a damaged one is
+        skipped alone (a damaged magic fails two). Entries of another
+        format or namespace (a panel sharing the 16-hex prefix) are not
+        ours to judge: skipped, and their pack is never swept.
         """
-        path = self._path_for(kind, digest)
-        try:
-            payload = path.read_bytes()
-        except OSError:
-            return _MISS
-        try:
-            meta, row = decode_row_document(payload)
-        except ValueError:
-            # Structurally damaged (torn write, truncation): quarantine
-            # so the re-put replaces it.
-            path.unlink(missing_ok=True)
-            return _MISS
-        if (not isinstance(meta, dict)
-                or meta.get("format") != CACHE_FILE_FORMAT
-                or meta.get("namespace") != self._namespace):
-            # A newer file format, or another panel sharing the 16-hex
-            # directory prefix: not ours to judge, never unlinked.
-            return _MISS
-        if (meta.get("digest") != digest
-                or content_digest({"row": row}) != meta.get("row_sha256")):
-            # Claims our format and namespace but fails its checks:
-            # damage. Quarantine so the re-put replaces it.
-            path.unlink(missing_ok=True)
-            return _MISS
-        return row
-
-    def sweep_stale_tmp_files(self) -> None:
-        if self._directory is not None:
-            sweep_stale_tmp_files(self._directory)
+        self._refreshed = True
+        if self._directory is None:
+            return
+        for path in sorted(self._directory.glob("*.pack")):
+            if path.name in self._read_packs:
+                continue
+            self._read_packs.add(path.name)
+            try:
+                data = path.read_bytes()
+            except OSError:  # swept since the listing
+                continue
+            for entry in data.split(MAGIC)[1:]:
+                try:
+                    meta, row = decode_row_document(MAGIC + entry)
+                except ValueError:
+                    continue
+                if (not isinstance(meta, dict)
+                        or meta.get("format") != CACHE_FILE_FORMAT
+                        or meta.get("namespace") != self._namespace):
+                    self._foreign_packs.add(path.name)
+                elif content_digest({"row": row}) == meta.get("row_sha256"):
+                    key = (meta.get("kind"), meta.get("digest"))
+                    self._located.setdefault(key, path.name)
+                    self._rows.setdefault(key, row)
 
     def sweep_unreferenced(self, referenced: set[str]) -> list[str]:
-        """Delete persisted rows whose digest is not in ``referenced``.
-
-        The disk store is keyed by cell digest, so churned cells leave
-        a stale row file behind each wave; sweeping against the wave
-        manifests' referenced digests (``PanelStore
-        .referenced_digests()``) bounds the row store to the live
-        panel, exactly like the cell CAS sweep. Only this format's
-        ``.col`` files are swept; files of any other format are left
-        alone. Returns the digests removed. In-memory rows are
-        untouched (they die with the process).
+        """Delete the packs holding no row whose digest is in
+        ``referenced`` (the digests the live waves reference), bounding
+        the row store to the live panel like the cell pack sweep. Packs
+        holding another namespace's entries are kept. Returns the
+        digests of the rows removed; in-memory rows are untouched.
         """
-        if self._directory is None or not self._directory.exists():
+        if self._directory is None:
             return []
+        self.refresh()
+        kept = self._foreign_packs | {
+            pack for (_, digest), pack in self._located.items()
+            if digest in referenced}
         removed: list[str] = []
-        for path in sorted(self._directory.glob("*.col")):
-            digest = path.stem.split("-", 1)[-1]
-            if digest in referenced:
-                continue
-            path.unlink(missing_ok=True)
-            removed.append(digest)
+        for path in sorted(self._directory.glob("*.pack")):
+            if path.name not in kept:
+                path.unlink(missing_ok=True)
+                removed.extend(digest for (_, digest), pack
+                               in sorted(self._located.items())
+                               if pack == path.name)
         sweep_stale_tmp_files(self._directory)
         return removed
 

@@ -599,8 +599,8 @@ def _command_panel(args: argparse.Namespace) -> int:
               f"compliance {compliance:.2%}{drift}")
     if args.store:
         # Bound the disk-backed row store to the digests this run
-        # actually analyzed — churned cells leave one stale row file
-        # per superseded digest behind otherwise.
+        # actually analyzed — packs holding only superseded digests'
+        # rows would pile up behind churned cells otherwise.
         rows.sweep_unreferenced(live_digests)
         print(f"panel store: {campaign.store.panel_directory}")
     return 0

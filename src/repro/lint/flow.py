@@ -26,7 +26,7 @@ from repro.lint.project import ProjectContext
 # into these.)
 DURABLE_SINKS = frozenset({
     "write_frame", "atomic_write_json", "atomic_write_text",
-    "atomic_write_bytes", "atomic_write_stream", "atomic_write_batch",
+    "atomic_write_bytes", "atomic_write_stream", "atomic_write_pack",
     "append_replicated",
 })
 

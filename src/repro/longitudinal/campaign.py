@@ -253,11 +253,11 @@ class PanelCampaign:
         if tracing_enabled():
             self._publish_trace()
         if self._store is not None:
-            # Every wave's manifest is on disk: reclaim CAS entries
-            # nothing references — crash leftovers (cells published,
-            # manifest write never reached) and quarantined damage.
-            # Digests are deterministic per (fingerprint, wave), so a
-            # healthy store sweeps nothing.
+            # Every wave's manifest is on disk: reclaim the packs
+            # nothing references — crash leftovers (pack published,
+            # manifest write never reached) and packs whose damaged
+            # entries were rewritten. Packs are deterministic per
+            # (fingerprint, wave), so a healthy store sweeps nothing.
             self._store.sweep_unreferenced_cells()
 
     def run(self) -> list[WaveOutcome]:

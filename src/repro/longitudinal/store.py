@@ -1,56 +1,46 @@
-"""The panel store: a digest-keyed cell CAS + thin wave manifests.
+"""The panel store: one cell pack per wave + thin wave manifests.
 
-Format 2 splits each wave document in two:
+Format 3 splits each wave document in two:
 
-* **cell CAS** — every (ISP, CBG) cell's record stream and every Q3
-  block's outcome is one JSON file under ``cells/``, named by the
-  cell's *world digest* (:mod:`repro.longitudinal.digests`). Digest
-  equality ⟺ record equality, so a cell unchanged across waves is
-  stored once per **digest**, not once per wave: saving a wave writes
-  only the churned cells' files — O(churn) bytes, the storage analogue
-  of delta re-collection.
+* **cell packs** — every (ISP, CBG) cell's record stream and every Q3
+  block's outcome is one self-verifying JSON entry (its *world digest*,
+  :mod:`repro.longitudinal.digests`, and the SHA-256 of its payload).
+  Digest equality ⟺ record equality, so a cell unchanged across waves
+  is stored once per digest: a wave writes only the digests the run has
+  not located yet, streamed into one pack under ``packs/``
+  (:func:`~repro.runtime.atomicio.atomic_write_pack`) — O(churn) bytes
+  in O(1) files, one fsync.
 * **wave manifests** — ``wave-0003.json`` holds the wave's horizon and
-  accounting plus an ordered list of ``(cell identity, digest)``
-  references; loading a wave reassembles the
-  :class:`~repro.runtime.executor.ShardResult` from the CAS in
-  manifest order.
+  accounting, its ordered ``(cell identity, digest)`` references and,
+  under one checksum with them, where each digest lives (pack, offset,
+  length). A manifest is published after its pack, so every location
+  it names is durable before it exists.
 
-Every file is integrity-checked on load — cell payloads carry their
-:func:`~repro.runtime.cache.content_digest`, manifests checksum their
-reference list — and any damage (torn file, missing cell, foreign
-fingerprint, skewed format) makes the wave a miss that recomputes,
-never a crash or a silent wrong replay. A wave's new cell files are
-published as one group commit (:func:`~repro.runtime.atomicio
-.atomic_write_batch`: each file fsynced before its rename, one
-directory barrier for the batch) and only then its manifest, with the
-shared atomic tmp-then-rename primitive — so every cell a manifest
-references is durable before the manifest exists. A wave document in
-any other format (the pre-CAS format-1 layout included) is a plain
-miss: the wave recomputes and its republish replaces the document.
-
-Cell files can be orphaned — a crash between publishing a wave's CAS
-entries and its manifest, a manifest damaged beyond recognition, or a
-quarantined-and-unlinked entry's replacement racing a reader.
-:meth:`PanelStore.sweep_unreferenced_cells` is the refcount-style
-collector — it deletes exactly the cell files no intact manifest
-references, so it is always safe to run, ``--resume`` included.
-(Panels at different horizons have different fingerprints and thus
-disjoint directories; they never share or orphan each other's cells.)
+Any damage — a torn or missing pack, a flipped byte, an entry serving
+the wrong cell, a foreign fingerprint, another format (format 2's
+per-cell files included) — makes the waves that read it a miss that
+recomputes, never a crash or a silent wrong replay. The store forgets
+the damaged location, so the recompute writes the digest into its own
+pack and the republished manifest points at the good copy.
+:meth:`PanelStore.sweep_unreferenced_cells` deletes exactly the packs no
+intact manifest references (crash orphans, superseded copies), so it is
+always safe to run, ``--resume`` included.
 
 The layout mirrors :class:`~repro.runtime.checkpoint.CheckpointStore`:
-``root/<fingerprint16>/...``, so several panels can share one store
-root without clobbering each other.
+``root/<fingerprint16>/...``, so several panels (panels at different
+horizons included) share one store root without touching each other.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.runtime.atomicio import (
-    atomic_write_batch,
+    atomic_write_pack,
     atomic_write_text,
     sweep_stale_tmp_files,
 )
@@ -69,24 +59,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["PanelStore"]
 
-FORMAT_VERSION = 2
-_CELLS_SUBDIR = "cells"
+FORMAT_VERSION = 3
+_PACKS_SUBDIR = "packs"
 
 
 class PanelStore(FingerprintNamespacedStore):
     """One panel campaign's persisted waves under a directory.
 
-    The store remembers the digests of the last wave it published or
-    loaded: those CAS entries are known to exist, so the next wave's
-    :meth:`save_wave` probes the disk only for the others — O(churn)
-    probes, not O(world). A panel run starts with :meth:`start_run`,
-    which forgets them (another process may have changed the directory
-    since) and reclaims stale tmp files once for the whole run.
+    Its location index (digest → pack, offset, length) holds the entries
+    of the waves it published or loaded; an indexed digest is never
+    written again. :meth:`start_run` forgets the index (another process
+    may have changed the directory since) and sweeps stale tmp files.
     """
 
     def __init__(self, directory: str | Path, fingerprint: str):
         super().__init__(directory, fingerprint)
-        self._present: set[str] = set()
+        self._locations: dict[str, tuple[str, int, int]] = {}
+        self._indexed_manifests: list | None = None
 
     @property
     def panel_directory(self) -> Path:
@@ -94,24 +83,24 @@ class PanelStore(FingerprintNamespacedStore):
         return self.namespace_directory
 
     @property
-    def cells_directory(self) -> Path:
-        """The digest-keyed cell CAS under the panel directory."""
-        return self.panel_directory / _CELLS_SUBDIR
+    def packs_directory(self) -> Path:
+        """The cell packs under the panel directory."""
+        return self.panel_directory / _PACKS_SUBDIR
 
     def wave_path(self, wave: int) -> Path:
         """Path of one wave's manifest."""
         return self.panel_directory / f"wave-{wave:04d}.json"
 
-    def cell_path(self, digest: str) -> Path:
-        """Path of one cell's CAS entry."""
-        return self.cells_directory / f"{digest}.json"
+    def pack_path(self, name: str) -> Path:
+        """Path of one cell pack."""
+        return self.packs_directory / name
 
     # ------------------------------------------------------------------
     # saving
     # ------------------------------------------------------------------
 
     def _cell_document(self, digest: str, payload: dict) -> bytes:
-        """One CAS entry's bytes: the canonical JSON of ``{"format",
+        """One pack entry's bytes: the canonical JSON of ``{"format",
         "digest", "payload_sha256", "payload"}``, with the payload
         encoded once — its canonical form is both what the checksum
         hashes and what the document embeds."""
@@ -122,40 +111,29 @@ class PanelStore(FingerprintNamespacedStore):
                 f'"payload_sha256":"{checksum}"}}').encode("utf-8")
 
     def start_run(self) -> None:
-        """Begin a panel run: trust no remembered CAS entry, and sweep
+        """Begin a panel run: trust no remembered location, and sweep
         the stale tmp files crashed writers left behind."""
-        self._present = set()
+        self._locations = {}
         sweep_stale_tmp_files(self.panel_directory)
-        sweep_stale_tmp_files(self.cells_directory)
+        sweep_stale_tmp_files(self.packs_directory)
 
     def _new_cell_documents(self, cells: "ShardResult",
-                            digests: "WaveDigests"):
-        """``(path, document bytes)`` for each of the wave's digests not
-        yet in the CAS, built lazily so a batch holds one chunk. Only
-        digests the last wave did not publish or load are probed."""
-        present = self._present
+                            digests: "WaveDigests",
+                            written: dict[str, None]):
+        """Entry bytes, built lazily in wave order, for each digest the
+        index does not locate; each is recorded in ``written``."""
         for cell, digest in digests.q12.items():
-            if digest in present:
-                continue
-            path = self.cell_path(digest)
-            if not path.exists():
-                yield path, self._cell_document(digest, {
+            if digest not in self._locations and digest not in written:
+                written[digest] = None
+                yield self._cell_document(digest, {
                     "kind": "q12",
                     **_q12_entry(cell, cells.q12_records[cell])})
         for block, digest in digests.q3.items():
-            if digest in present:
-                continue
-            path = self.cell_path(digest)
-            if not path.exists():
-                yield path, self._cell_document(digest, {
+            if digest not in self._locations and digest not in written:
+                written[digest] = None
+                yield self._cell_document(digest, {
                     "kind": "q3",
                     **_q3_entry(block, cells.q3_outcomes[block])})
-
-    def _remember(self, refs: dict) -> None:
-        """The CAS entries a wave's references name are now known to
-        exist; the ones an earlier wave named are forgotten."""
-        self._present = {ref[-1] for kind in ("q12", "q3")
-                         for ref in refs[kind]}
 
     def save_wave(
         self,
@@ -165,122 +143,100 @@ class PanelStore(FingerprintNamespacedStore):
         counts: dict[str, int],
         digests: "WaveDigests",
     ) -> Path:
-        """Publish one completed wave: its new CAS entries as one
-        atomic batch, then the manifest (atomically) — a crash between
-        the two leaves only unreferenced cell files, which the sweep
-        reclaims.
-
-        Digests whose CAS file already exists are skipped, so the
-        per-wave write cost is exactly the churned digests; only the
-        digests the last wave did not publish or load are probed.
-        """
-        self.cells_directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_batch(self._new_cell_documents(cells, digests))
-        q12_refs = [[cell.isp_id, cell.state, cell.cbg, digest]
-                    for cell, digest in digests.q12.items()]
-        q3_refs = [[block, digest] for block, digest in digests.q3.items()]
-        refs = {"q12": q12_refs, "q3": q3_refs}
+        """Publish one completed wave: its new entries as one pack,
+        then the manifest (atomically) — a crash between the two leaves
+        only an unreferenced pack, which the sweep reclaims."""
+        self.panel_directory.mkdir(parents=True, exist_ok=True)
+        written: dict[str, None] = {}
+        published = atomic_write_pack(
+            self.packs_directory,
+            self._new_cell_documents(cells, digests, written))
+        if published is not None:
+            name, spans = published
+            for digest, (offset, length) in zip(written, spans):
+                self._locations[digest] = (name, offset, length)
+        packs: dict[str, int] = {}
+        locations = {}
+        for digest in chain(digests.q12.values(), digests.q3.values()):
+            name, offset, length = self._locations[digest]
+            locations[digest] = [packs.setdefault(name, len(packs)),
+                                 offset, length]
+        index = {
+            "cells": {
+                "q12": [[cell.isp_id, cell.state, cell.cbg, digest]
+                        for cell, digest in digests.q12.items()],
+                "q3": [[block, digest]
+                       for block, digest in digests.q3.items()],
+            },
+            "packs": list(packs),
+            "locations": locations,
+        }
         document = {
             "format": FORMAT_VERSION,
             "fingerprint": self._fingerprint,
             "wave": wave,
             "horizon_years": horizon_years,
             "counts": counts,
-            "cells_sha256": content_digest(refs),
-            "cells": refs,
+            "index_sha256": content_digest(index),
+            **index,
         }
         path = self.wave_path(wave)
         atomic_write_text(path, json.dumps(document, sort_keys=True))
-        self._remember(refs)
         return path
 
     # ------------------------------------------------------------------
     # loading
     # ------------------------------------------------------------------
 
-    def _load_manifest(self, wave: int) -> dict | None:
-        """One wave's parsed manifest, or ``None``."""
+    def _verified_manifest(
+        self, wave: int,
+    ) -> tuple[dict, dict[str, tuple[str, int, int]]] | None:
+        """One wave's manifest whose index passes its checksum, with its
+        digest → ``(pack, offset, length)`` locations; or ``None``."""
         document = self._owned_document(self.wave_path(wave))
         if (document is None
                 or document.get("format") != FORMAT_VERSION
                 or document.get("wave") != wave):
             return None
-        return document
-
-    def _load_cell_payload(self, digest: str) -> dict | None:
-        """One verified CAS payload, or ``None`` on any damage.
-
-        A *present but damaged* entry is quarantined (unlinked) before
-        returning the miss: ``save_wave`` skips digests whose file
-        exists, so without the unlink a corrupted referenced entry
-        would survive every recompute and force the wave to re-collect
-        on every later resume, forever. Unlinking makes the usual
-        miss-recompute-republish cycle heal the store instead. The
-        quarantine only fires for files *claiming this format* that
-        fail their checks (and torn non-JSON files, unreadable to any
-        version) — an entry written by a newer format is a plain miss,
-        so a version rollback never deletes the newer store.
-        """
-        path = self.cell_path(digest)
+        index = {key: document.get(key)
+                 for key in ("cells", "packs", "locations")}
+        if content_digest(index) != document.get("index_sha256"):
+            return None
         try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except OSError:
+            packs = index["packs"]
+            located = {digest: (packs[pack], int(offset), int(length))
+                       for digest, (pack, offset, length)
+                       in index["locations"].items()}
+        except (AttributeError, IndexError, TypeError, ValueError):
             return None
-        except json.JSONDecodeError:
-            self._quarantine(digest)
-            return None
-        if (not isinstance(document, dict)
-                or document.get("format") != FORMAT_VERSION):
-            return None
-        payload = document.get("payload")
-        if (document.get("digest") != digest
-                or not isinstance(payload, dict)
+        return document, located
+
+    def _forget(self, digest: str, location: tuple[str, int, int]) -> None:
+        # Only the damaged copy: a good one found since stays indexed.
+        if self._locations.get(digest) == location:
+            del self._locations[digest]
+
+    def _read_payload(self, digest: str,
+                      location: tuple[str, int, int]) -> dict | None:
+        """The verified payload of the entry at ``location``; ``None``
+        (and the location forgotten) unless it is intact and names
+        ``digest``."""
+        name, offset, length = location
+        try:
+            with self.pack_path(name).open("rb") as handle:
+                handle.seek(offset)
+                document = json.loads(handle.read(length))
+        except (OSError, ValueError):
+            document = None
+        payload = (document.get("payload") if isinstance(document, dict)
+                   else None)
+        if (not isinstance(payload, dict)
+                or document.get("format") != FORMAT_VERSION
+                or document.get("digest") != digest
                 or content_digest(payload) != document.get("payload_sha256")):
-            self._quarantine(digest)
+            self._forget(digest, location)
             return None
         return payload
-
-    def _quarantine(self, digest: str) -> None:
-        """Unlink a damaged CAS entry, so the next publish rewrites it."""
-        self._present.discard(digest)
-        self.cell_path(digest).unlink(missing_ok=True)
-
-    def _assemble_from_cas(self, document: dict) -> "ShardResult | None":
-        from repro.runtime.executor import ShardResult
-
-        refs = document.get("cells")
-        if (not isinstance(refs, dict)
-                or content_digest(refs) != document.get("cells_sha256")):
-            return None
-        result = ShardResult(index=0, count=1)
-        try:
-            for isp_id, state, cbg, digest in refs["q12"]:
-                payload = self._load_cell_payload(digest)
-                if payload is None:
-                    return None
-                if (payload.get("kind") != "q12"
-                        or (payload["isp_id"], payload["state"],
-                            payload["cbg"]) != (isp_id, state, cbg)):
-                    # Internally consistent but serving the wrong cell
-                    # for its address: manifest/CAS skew. Quarantine it
-                    # too, or the recompute's republish would skip the
-                    # existing file and the wave could never heal.
-                    self._quarantine(digest)
-                    return None
-                cell, records = _q12_from_entry(payload)
-                result.q12_records[cell] = records
-            for block, digest in refs["q3"]:
-                payload = self._load_cell_payload(digest)
-                if payload is None:
-                    return None
-                if (payload.get("kind") != "q3"
-                        or payload["block_geoid"] != block):
-                    self._quarantine(digest)
-                    return None
-                result.q3_outcomes[block] = _q3_from_entry(payload)[1]
-        except (KeyError, TypeError, ValueError):
-            return None
-        return result
 
     def load_wave(
         self, wave: int
@@ -289,28 +245,47 @@ class PanelStore(FingerprintNamespacedStore):
 
         ``None`` covers every way the wave can be unusable — missing,
         torn, checksum-mismatched, foreign fingerprint, a missing or
-        damaged CAS entry, or an unknown format version — so callers
+        damaged pack entry, or an unknown format version — so callers
         simply recompute.
         """
-        document = self._load_manifest(wave)
-        if document is None:
+        from repro.runtime.executor import ShardResult
+
+        verified = self._verified_manifest(wave)
+        if verified is None:
             return None
-        cells = self._assemble_from_cas(document)
-        if cells is None:
+        document, located = verified
+        cells = ShardResult(index=0, count=1)
+        try:
+            for isp_id, state, cbg, digest in document["cells"]["q12"]:
+                payload = self._read_payload(digest, located[digest]) or {}
+                if (payload.get("kind"), payload.get("isp_id"),
+                        payload.get("state"), payload.get("cbg")) != (
+                        "q12", isp_id, state, cbg):
+                    # Damaged, or intact but another cell's (manifest/
+                    # pack skew): forgotten, so the recompute rewrites it.
+                    self._forget(digest, located[digest])
+                    return None
+                cell, records = _q12_from_entry(payload)
+                cells.q12_records[cell] = records
+            for block, digest in document["cells"]["q3"]:
+                payload = self._read_payload(digest, located[digest]) or {}
+                if (payload.get("kind"),
+                        payload.get("block_geoid")) != ("q3", block):
+                    self._forget(digest, located[digest])
+                    return None
+                cells.q3_outcomes[block] = _q3_from_entry(payload)[1]
+        except (KeyError, TypeError, ValueError):
             return None
-        self._remember(document["cells"])
-        manifest = {
+        self._locations.update(located)
+        return cells, {
             "wave": wave,
             "format": document["format"],
             "horizon_years": document.get("horizon_years"),
             "counts": dict(document.get("counts", {})),
         }
-        return cells, manifest
 
     def waves(self) -> list[int]:
         """Indices of waves currently stored, sorted."""
-        if not self.panel_directory.exists():
-            return []
         indices = []
         for path in sorted(self.panel_directory.glob("wave-*.json")):
             try:
@@ -320,52 +295,69 @@ class PanelStore(FingerprintNamespacedStore):
         return indices
 
     # ------------------------------------------------------------------
+    # lookups for readers
+    # ------------------------------------------------------------------
+
+    def wave_refs(self, wave: int) -> dict | None:
+        """One intact wave's cell references, ``{"q12": [[isp, state,
+        cbg, digest], ...], "q3": [[block, digest], ...]}``, or
+        ``None``."""
+        verified = self._verified_manifest(wave)
+        return None if verified is None else verified[0]["cells"]
+
+    def cell(self, digest: str) -> dict | None:
+        """One verified cell payload by digest, or ``None``; an unindexed
+        digest re-reads the manifests if any changed since last read."""
+        if digest not in self._locations:
+            self._index_manifests()
+        location = self._locations.get(digest)
+        return None if location is None else self._read_payload(digest,
+                                                                location)
+
+    def _index_manifests(self) -> None:
+        # Manifests are replaced by rename, never deleted: each stats.
+        signature = [(path.name, path.stat().st_mtime_ns) for path
+                     in sorted(self.panel_directory.glob("wave-*.json"))]
+        if signature == self._indexed_manifests:
+            return
+        self._indexed_manifests = signature
+        for _, located in self._intact_manifests():
+            self._locations.update(located)
+
+    # ------------------------------------------------------------------
     # garbage collection and accounting
     # ------------------------------------------------------------------
 
-    def referenced_digests(self) -> set[str]:
-        """Every digest some intact wave manifest references."""
-        referenced: set[str] = set()
+    def _intact_manifests(self):
         for wave in self.waves():
-            document = self._load_manifest(wave)
-            if document is None:
-                continue
-            refs = document.get("cells")
-            if (not isinstance(refs, dict)
-                    or content_digest(refs)
-                    != document.get("cells_sha256")):
-                continue
-            referenced.update(ref[-1] for ref in refs.get("q12", ()))
-            referenced.update(ref[-1] for ref in refs.get("q3", ()))
-        return referenced
+            verified = self._verified_manifest(wave)
+            if verified is not None:
+                yield verified
 
     def sweep_unreferenced_cells(self) -> list[str]:
-        """Delete CAS entries no intact manifest references.
+        """Delete the packs no intact manifest references.
 
         The reference set is recomputed from the manifests on disk at
         sweep time, so the sweep can never strand a wave a later
-        ``--resume`` will load — a digest is only reclaimed once no
-        manifest (current horizons or not) still names it. Returns the
-        digests removed.
+        ``--resume`` will load — a pack is only reclaimed once no
+        manifest (current horizons or not) still points into it.
+        Returns the pack names removed.
         """
-        if not self.cells_directory.exists():
-            return []
-        referenced = self.referenced_digests()
+        referenced = {name for _, located in self._intact_manifests()
+                      for name, _, _ in located.values()}
         removed = []
-        for path in sorted(self.cells_directory.glob("*.json")):
-            if path.stem in referenced:
-                continue
-            path.unlink(missing_ok=True)
-            removed.append(path.stem)
-        sweep_stale_tmp_files(self.cells_directory)
+        for path in sorted(self.packs_directory.glob("*.pack")):
+            if path.name not in referenced:
+                path.unlink(missing_ok=True)
+                removed.append(path.name)
+        sweep_stale_tmp_files(self.packs_directory)
         return removed
 
     def total_bytes(self) -> int:
-        """On-disk size of this panel's manifests and CAS entries."""
-        if not self.panel_directory.exists():
-            return 0
+        """On-disk size of this panel's manifests and packs."""
         total = 0
-        for path in self.panel_directory.rglob("*.json"):
+        for path in chain(self.panel_directory.glob("wave-*.json"),
+                          self.packs_directory.glob("*.pack")):
             try:
                 total += path.stat().st_size
             except OSError:

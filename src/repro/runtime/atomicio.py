@@ -14,37 +14,31 @@ lives once here:
   own them (deleting a *young* tmp file would crash a concurrent
   writer's rename).
 
-:func:`atomic_write_batch` is the group commit of the same publish for
-stores that write many small files at once (the panel store's cell
-CAS, the wave row cache). Every file is still fsynced before its
-rename, so a writer killed mid-batch leaves each target absent or
-whole — plus ``*.tmp-<pid>`` files the sweep reclaims. Only the
-directory barrier is shared: each distinct parent directory is
-fsynced once, after the batch's last rename, so every rename is
-durable when the call returns — before the caller publishes the
-manifest (its commit point) that references the batch.
+:func:`atomic_write_pack` is the same publish for stores that write
+many small entries at once (the panel store's cells, the wave row
+cache): the entries stream into *one* content-named pack, so a wave
+pays one fsync, one rename and one directory barrier. Each entry stays
+self-verifying; the caller publishes the manifest (its commit point)
+that locates them only after the call returns.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
-from contextlib import ExitStack, contextmanager
-from itertools import islice
+from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import Iterable
 
-__all__ = ["atomic_write_batch", "atomic_write_bytes", "atomic_write_json",
+__all__ = ["atomic_write_bytes", "atomic_write_json", "atomic_write_pack",
            "atomic_write_stream", "atomic_write_text",
            "sweep_stale_tmp_files"]
 
 # Live writers publish within seconds; anything older is a crash leak.
 STALE_TMP_SECONDS = 3600.0
-
-# Tmp files one batch holds open at once: bounds the writer's file
-# descriptors however many files a batch publishes.
-BATCH_OPEN_HANDLES = 128
 
 
 def _tmp_path(path: Path) -> Path:
@@ -91,48 +85,35 @@ def atomic_write_bytes(path: Path, payload: bytes) -> Path:
     return path
 
 
-def _write_all(handle, payload: bytes) -> None:
-    # An unbuffered write may be short; the rest follows.
-    view = memoryview(payload)
-    while view:
-        view = view[handle.write(view):]
-
-
-def atomic_write_batch(items: Iterable[tuple[Path, bytes]]) -> None:
-    """Publish many ``(path, payload)`` pairs atomically and durably,
-    with one directory barrier per distinct parent directory.
-
-    Consumes ``items`` lazily, in chunks of at most
-    :data:`BATCH_OPEN_HANDLES` files: write each tmp file as its item
-    arrives (unbuffered, so a chunk holds handles, not payloads), fsync
-    each through its own handle, close them, then rename each over its
-    target. After the last rename each parent directory is fsynced
-    once. A path given twice ends with its last payload, as after a
-    per-file loop.
-    """
-    pending = iter(items)
-    directories: dict[Path, None] = {}
-    while True:
-        with ExitStack() as stack:
-            handles: dict[Path, BinaryIO] = {}
-            for path, payload in islice(pending, BATCH_OPEN_HANDLES):
-                handle = handles.get(path)
-                if handle is None:
-                    handle = handles[path] = stack.enter_context(
-                        _tmp_path(path).open("wb", buffering=0))
-                else:  # never two handles on one tmp file
-                    handle.seek(0)
-                    handle.truncate()
-                _write_all(handle, payload)
-            for handle in handles.values():
-                os.fsync(handle.fileno())
-        if not handles:
-            break
-        for path in handles:
-            _tmp_path(path).replace(path)
-            directories[path.parent] = None
-    for directory in directories:
-        _fsync_directory(directory)
+def atomic_write_pack(
+    directory: Path, entries: Iterable[bytes],
+) -> tuple[str, list[tuple[int, int]]] | None:
+    """Publish ``entries`` as one pack in ``directory``, named by the
+    SHA-256 of its bytes: ``(name, [(offset, length), ...])``, or
+    ``None`` (and no file) for none. Entries are written as they arrive;
+    equal entries make an equal pack, so a pack republished after a
+    crash overwrites its orphan with identical bytes."""
+    pending = iter(entries)
+    first = next(pending, None)
+    if first is None:
+        return None
+    directory.mkdir(parents=True, exist_ok=True)
+    tmp = _tmp_path(directory / "pack")
+    digest = hashlib.sha256()
+    spans: list[tuple[int, int]] = []
+    offset = 0
+    with tmp.open("wb") as handle:
+        for entry in chain((first,), pending):
+            handle.write(entry)
+            digest.update(entry)
+            spans.append((offset, len(entry)))
+            offset += len(entry)
+        handle.flush()
+        os.fsync(handle.fileno())
+    name = f"{digest.hexdigest()}.pack"
+    tmp.replace(directory / name)
+    _fsync_directory(directory)
+    return name, spans
 
 
 def atomic_write_text(path: Path, text: str) -> Path:

@@ -17,10 +17,11 @@ which is the expensive half of a small audit.
 The cache is size-bounded: give the constructor ``max_bytes`` or set
 ``REPRO_CACHE_MAX_BYTES`` and, after each store, the least-recently-
 *used* entries (hits refresh an entry's clock) are evicted until the
-directory fits. Entries are stored as ``<digest>.pkl`` plus a
-``<digest>.json`` sidecar with headline numbers for human inspection.
-Pickle implies the usual trust caveat: only point ``cache_dir`` (or
-``REPRO_CACHE_DIR``) at directories you write yourself.
+directory fits. Entries are stored as ``<digest>.pkl`` (the pickle,
+then the SHA-256 that load checks first) plus a ``<digest>.json``
+sidecar with headline numbers for human inspection. Pickle implies the
+usual trust caveat: only point ``cache_dir`` (or ``REPRO_CACHE_DIR``)
+at directories you write yourself.
 """
 
 from __future__ import annotations
@@ -61,12 +62,23 @@ CACHE_FORMAT_VERSION = 1
 _WORLDS_SUBDIR = "worlds"
 # ImportError covers entries pickled by an older code version whose
 # classes have since moved — stale, so a miss, not a crash. Damaged
-# bytes surface as whatever the opcode they land on raises (a bad
-# UTF-8 string, a bogus protocol number, a garbage length), so those
-# errors are misses too.
+# bytes fail the checksum before they reach pickle; the rest catch
+# what an intact pickle of a stale class layout can still raise.
 _PICKLE_LOAD_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
                        ImportError, OSError, ValueError, TypeError,
                        IndexError, OverflowError, MemoryError)
+_CHECKSUM_BYTES = hashlib.sha256().digest_size
+
+
+class _HashingWriter:
+    """Writes through to ``handle``, hashing the bytes that pass."""
+
+    def __init__(self, handle):
+        self.handle, self.sha256 = handle, hashlib.sha256()
+
+    def write(self, chunk) -> int:
+        self.sha256.update(chunk)
+        return self.handle.write(chunk)
 
 
 def canonical_json(payload) -> str:
@@ -254,11 +266,16 @@ class AuditCache:
     # storage and eviction
     # ------------------------------------------------------------------
     def _load_pickle(self, path: Path):
-        if not path.exists():
+        try:
+            data = path.read_bytes()
+        except OSError:
+            return None
+        body = memoryview(data)[:-_CHECKSUM_BYTES]
+        if (len(data) <= _CHECKSUM_BYTES
+                or hashlib.sha256(body).digest() != data[-_CHECKSUM_BYTES:]):
             return None
         try:
-            with path.open("rb") as handle:
-                loaded = pickle.load(handle)
+            loaded = pickle.loads(body)
         except _PICKLE_LOAD_ERRORS:
             return None
         # A hit refreshes the entry's LRU clock. The loaded object is
@@ -279,7 +296,9 @@ class AuditCache:
         # pickle — even across a power failure. Streamed, so a
         # multi-megabyte world is never duplicated in memory.
         with atomic_write_stream(path) as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            writer = _HashingWriter(handle)
+            pickle.dump(payload, writer, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.write(writer.sha256.digest())
         return path
 
     def _entry_paths(self) -> list[Path]:

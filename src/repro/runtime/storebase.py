@@ -2,9 +2,9 @@
 
 Three on-disk stores share one survival story — the shard checkpoints
 (:class:`~repro.runtime.checkpoint.CheckpointStore`), the panel wave
-CAS (:class:`~repro.longitudinal.store.PanelStore`), and the service's
-campaign journal (:class:`~repro.service.journal.Journal`). All of
-them:
+store (:class:`~repro.longitudinal.store.PanelStore`), and the
+service's campaign journal (:class:`~repro.service.journal.Journal`).
+All of them:
 
 * live under a shared *root* directory, with each owner's files
   namespaced into a subdirectory named by a 16-hex prefix of its
@@ -12,14 +12,15 @@ them:
   each other's work;
 * treat every document as untrusted until it passes a checksum —
   parse failures, foreign fingerprints, and digest mismatches are
-  *misses that recompute* (or, where leaving the file would block the
-  recompute's republish, quarantined), never crashes or silent wrong
-  data;
-* publish through :mod:`repro.runtime.atomicio` and sweep its stale
-  tmp files.
+  *misses that recompute* (a damaged journal segment is also
+  quarantined; the panel store writes a fresh copy of a damaged entry
+  instead), never crashes or silent wrong data;
+* publish through :mod:`repro.runtime.atomicio` — one file per
+  document, or one pack per wave for the panel store's cells — and
+  sweep its stale tmp files.
 
 This base class holds the shared mechanics; the two integrity schemes
-(per-document digests for checkpoint records and CAS cells, a hash
+(per-document digests for checkpoint records and pack entries, a hash
 chain for the journal) stay in the subclasses.
 """
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.runtime.atomicio import sweep_stale_tmp_files
 
 __all__ = ["FingerprintNamespacedStore"]
 
@@ -97,7 +97,3 @@ class FingerprintNamespacedStore:
         if document.get("fingerprint") != self._fingerprint:
             return None
         return document
-
-    def sweep_tmp_files(self) -> None:
-        """Reclaim stale atomic-write leftovers in the namespace."""
-        sweep_stale_tmp_files(self.namespace_directory)

@@ -590,7 +590,7 @@ class AuditService:
     def _run_panel(self, job_id: str, spec: dict) -> dict:
         """One panel job: waves through the longitudinal machinery.
 
-        The panel persists into the service's ``store_dir`` (CAS cells
+        The panel persists into the service's ``store_dir`` (cell packs
         + disk-backed analysis rows), which is exactly what the read
         API serves from — running a panel *warms the reader*. Each
         wave's changed cells are dealt onto the spec's ``shards``, run

@@ -5,15 +5,17 @@ A served result is never recomputed. Three sources, in cost order:
 * **journal state** — job status and sealed wave-analysis payloads
   are part of the replayed :class:`~repro.service.journal
   .CoordinatorState`, refreshed only when the journal tip moves;
-* **panel CAS** — per-cell record payloads come from the
-  :class:`~repro.longitudinal.store.PanelStore` cell files the panel
+* **panel store** — per-cell record payloads come from the
+  :class:`~repro.longitudinal.store.PanelStore` cell packs the panel
   campaign already published (digest-verified by the store itself);
 * **row cache** — per-cell analysis rows come from the
-  :class:`~repro.analysis.incremental.WaveRowCache` disk files the
+  :class:`~repro.analysis.incremental.WaveRowCache` packs the
   incremental analysis already wrote.
 
-Disk reads are memoized per digest, so a repeated query is an
-in-memory dictionary hit — the :attr:`ServiceReader.hits` /
+The reader keeps one store and one row cache per panel, so each reads
+its index once per process (again when a lookup misses and new waves
+or packs appeared). Replies are memoized per digest, so a repeated
+query is an in-memory dictionary hit — the :attr:`ServiceReader.hits` /
 :attr:`misses` counters are what ``bench_service.py`` measures as
 reader QPS. The reader works against a *live* journal inside the
 daemon and equally against a journal opened read-only by an offline
@@ -38,11 +40,13 @@ class ServiceReader:
         self._store_root = None if store_root is None else Path(store_root)
         self._state: CoordinatorState | None = None
         self._state_tip = -2  # never equal to a real tip_seq
-        # (fingerprint, digest) → CAS payload; (namespace, kind,
+        # (fingerprint, digest) → cell payload; (namespace, kind,
         # digest) → analysis row. Both immutable once published
         # (content-addressed), so memoization can never serve stale.
         self._cells: dict[tuple[str, str], dict] = {}
         self._rows: dict[tuple[str, str, str], dict | None] = {}
+        self._stores: dict = {}
+        self._row_caches: dict = {}
         self.hits = 0
         self.misses = 0
 
@@ -79,13 +83,18 @@ class ServiceReader:
         return self.state().analyses.get((job_id, wave))
 
     # ------------------------------------------------------------------
-    # panel CAS + row cache
+    # panel store + row cache
     # ------------------------------------------------------------------
 
-    def cell(self, panel_fingerprint: str, digest: str) -> dict | None:
-        """One panel cell's record payload from the CAS, memoized."""
+    def _store(self, panel_fingerprint: str):
+        # Kept once it served something: junk panels leave nothing.
         from repro.longitudinal.store import PanelStore
 
+        return (self._stores.get(panel_fingerprint)
+                or PanelStore(self._store_root, panel_fingerprint))
+
+    def cell(self, panel_fingerprint: str, digest: str) -> dict | None:
+        """One panel cell's record payload from the store, memoized."""
         key = (panel_fingerprint, digest)
         if key in self._cells:
             self.hits += 1
@@ -93,17 +102,18 @@ class ServiceReader:
         if (self._store_root is None
                 or not isinstance(panel_fingerprint, str)
                 or not isinstance(digest, str)
-                # Digests name files; anything non-hex is junk (and a
-                # path separator would escape the store).
+                # Fingerprints name directories; anything non-hex is
+                # junk (and a path separator would escape the store).
                 or not panel_fingerprint.isalnum()
                 or not digest.isalnum()):
             self.misses += 1
             return None
-        store = PanelStore(self._store_root, panel_fingerprint)
-        payload = store._load_cell_payload(digest)
+        store = self._store(panel_fingerprint)
+        payload = store.cell(digest)
         self.misses += 1
         if payload is not None:
             self._cells[key] = payload
+            self._stores[panel_fingerprint] = store
         return payload
 
     def row(self, namespace: str, kind: str, digest: str) -> dict | None:
@@ -125,29 +135,33 @@ class ServiceReader:
                 or not digest.isalnum()):
             self.misses += 1
             return None
-        cache = WaveRowCache(namespace, directory=self._store_root)
+        cache = (self._row_caches.get(namespace)
+                 or WaveRowCache(namespace, directory=self._store_root))
         hit, row = cache.lookup(kind, digest)
+        if not hit:  # rows published since the cache read its packs
+            cache.refresh()
+            hit, row = cache.lookup(kind, digest)
         self.misses += 1
         if hit:
             self._rows[key] = row
+            self._row_caches[namespace] = cache
         return row
 
     def wave_digests(self, panel_fingerprint: str,
                      wave: int) -> dict | None:
         """One stored wave's cell references (``{"q12": [...], "q3":
         [...]}``), the index a client walks to fetch cells/rows."""
-        from repro.longitudinal.store import PanelStore
-
         if self._store_root is None:
             return None
         if (not isinstance(wave, int) or isinstance(wave, bool)
-                or not isinstance(panel_fingerprint, str)):
+                or not isinstance(panel_fingerprint, str)
+                or not panel_fingerprint.isalnum()):
             return None
-        store = PanelStore(self._store_root, panel_fingerprint)
-        document = store._load_manifest(wave)
-        if document is None or not isinstance(document.get("cells"), dict):
-            return None
-        return document["cells"]
+        store = self._store(panel_fingerprint)
+        refs = store.wave_refs(wave)
+        if refs is not None:
+            self._stores[panel_fingerprint] = store
+        return refs
 
     # ------------------------------------------------------------------
     # the wire-facing dispatcher

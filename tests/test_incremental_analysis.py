@@ -124,39 +124,65 @@ class TestDiskBackedRows:
         assert all(hits_or_misses)
         assert cold.hits > 0 and cold.misses == 0
 
+    @staticmethod
+    def _entries(cache):
+        """``(pack path, start, end, meta)`` of every row entry."""
+        from repro.tabular.colio import MAGIC, decode_row_document
+
+        found = []
+        for path in sorted(cache.directory.glob("*.pack")):
+            data, start = path.read_bytes(), 0
+            for entry in (MAGIC + part for part in data.split(MAGIC)[1:]):
+                start = data.index(entry, start)
+                meta, row = decode_row_document(entry)
+                found.append((path, start, start + len(entry), meta, row))
+        return found
+
     def test_damaged_row_file_is_a_miss(self, world, tmp_path,
                                         panel_outcomes):
+        """A torn pack tail costs only the entry it cuts."""
         campaign = PanelCampaign(world, model=SPARSE, horizons=(1,),
                                  **SUBSET)
         cache = row_cache_for(campaign, directory=tmp_path)
         wave_analysis(panel_outcomes[0], cache=cache)
-        victim = next(cache.directory.glob("q12-*.col"))
-        victim.write_bytes(victim.read_bytes()[:10])  # torn write
-        digest = victim.stem.split("-", 1)[1]
+        entries = self._entries(cache)
+        path, _, end, meta, _ = entries[-1]
+        path.write_bytes(path.read_bytes()[:end - 10])  # torn write
         fresh = row_cache_for(campaign, directory=tmp_path)
-        assert not fresh.lookup("q12", digest)[0]
+        assert not fresh.lookup(meta["kind"], meta["digest"])[0]
+        survivor = entries[0][3]
+        assert fresh.lookup(survivor["kind"], survivor["digest"])[0]
 
     def test_corrupted_row_value_is_a_miss_not_a_wrong_rate(
             self, world, tmp_path, panel_outcomes):
-        """A bit-flipped row *value* in a still-parseable file must
-        fail the payload checksum and be quarantined — folded in, it
-        would silently break the byte-equality contract."""
+        """A bit-flipped row *value* in a still-parseable entry must
+        fail the row checksum — folded in, it would silently break the
+        byte-equality contract. Only that entry misses, and re-putting
+        the row heals the store."""
         campaign = PanelCampaign(world, model=SPARSE, horizons=(1,),
                                  **SUBSET)
         cache = row_cache_for(campaign, directory=tmp_path)
         wave_analysis(panel_outcomes[0], cache=cache)
         from repro.tabular.colio import decode_row_document
 
-        victim = next(p for p in cache.directory.glob("q12-*.col")
-                      if decode_row_document(p.read_bytes())[1])
-        payload = bytearray(victim.read_bytes())
-        payload[-1] ^= 0xFF  # flip a bit in the last value buffer
-        victim.write_bytes(bytes(payload))
-        assert decode_row_document(bytes(payload))[1]  # still parseable
-        digest = victim.stem.split("-", 1)[1]
+        entries = self._entries(cache)
+        path, start, end, meta, row = next(
+            entry for entry in entries if entry[4] and entry[3]["kind"]
+            == "q12")
+        payload = bytearray(path.read_bytes())
+        payload[end - 1] ^= 0xFF  # flip a bit in the last value buffer
+        path.write_bytes(bytes(payload))
+        assert decode_row_document(bytes(payload[start:end]))[1]
         fresh = row_cache_for(campaign, directory=tmp_path)
-        assert not fresh.lookup("q12", digest)[0]
-        assert not victim.exists()  # quarantined for re-put to heal
+        assert not fresh.lookup("q12", meta["digest"])[0]
+        assert fresh.hits == 0 and fresh.misses == 1
+        others = [entry[3] for entry in entries
+                  if entry[3]["digest"] != meta["digest"]]
+        assert all(fresh.lookup(other["kind"], other["digest"])[0]
+                   for other in others)
+        fresh.put("q12", meta["digest"], row)
+        healed = row_cache_for(campaign, directory=tmp_path)
+        assert healed.lookup("q12", meta["digest"]) == (True, row)
 
     def test_foreign_namespace_rejected(self, world, tmp_path,
                                         panel_outcomes):
@@ -172,6 +198,9 @@ class TestDiskBackedRows:
         assert foreign.directory == cache.directory
         digest = next(iter(panel_outcomes[0].digests.q12.values()))
         assert not foreign.lookup("q12", digest)[0]
+        # Nor may its sweep delete a pack holding our rows.
+        assert foreign.sweep_unreferenced(set()) == []
+        assert list(cache.directory.glob("*.pack"))
         # A format-1 JSON row file, even one carrying this namespace,
         # is a miss that neither a lookup nor the sweep unlinks.
         from repro.runtime.cache import content_digest

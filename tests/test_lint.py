@@ -147,21 +147,21 @@ def test_flow602_agrees_on_numpy_bit_generators(tmp_path, ctor, rules):
 
 
 def test_flow601_sees_the_batch_writer(tmp_path):
-    # The positive fixture's shape with the group-commit writer as the
-    # sink: the clock still hides in an allowlisted obs/ helper, and a
-    # batch is as durable as a single atomic publish.
+    # The positive fixture's shape with the pack writer as the sink:
+    # the clock still hides in an allowlisted obs/ helper, and a pack
+    # is as durable as a single atomic publish.
     shutil.copytree(FIXTURES / "flow601_pos" / "obs", tmp_path / "obs")
     (tmp_path / "sink.py").write_text(
         "from obs.stamps import fresh_stamp\n\n"
-        "from repro.runtime.atomicio import atomic_write_batch\n\n\n"
-        "def publish(path):\n"
+        "from repro.runtime.atomicio import atomic_write_pack\n\n\n"
+        "def publish(directory):\n"
         "    stamp = fresh_stamp()\n"
-        "    atomic_write_batch([(path, repr(stamp).encode())])\n",
+        "    atomic_write_pack(directory, [repr(stamp).encode()])\n",
         encoding="utf-8")
     findings = scan_paths([tmp_path], root=tmp_path)
     assert [(f.rule, f.path, f.line) for f in findings] == [
         ("FLOW601", "sink.py", 8)]
-    assert "atomic_write_batch()" in findings[0].message
+    assert "atomic_write_pack()" in findings[0].message
 
 
 # ----------------------------------------------------------------------

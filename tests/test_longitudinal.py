@@ -225,65 +225,97 @@ class TestWaveResume:
 
 
 class TestPanelStoreCAS:
-    """The format-2 store: digest-keyed cell CAS + thin manifests."""
+    """The format-3 store: one cell pack per wave + thin manifests."""
 
     def _run(self, world, tmp_path, horizons=(1, 2), resume=False):
         return PanelCampaign(world, model=SPARSE, horizons=horizons,
                              store_dir=str(tmp_path / "panel"),
                              resume=resume, **SUBSET)
 
+    @staticmethod
+    def _manifest(store, wave):
+        return json.loads(store.wave_path(wave).read_text("utf-8"))
+
+    def _located(self, store, wave):
+        """One wave's digest → (pack, offset, length)."""
+        document = self._manifest(store, wave)
+        return {digest: (document["packs"][pack], offset, length)
+                for digest, (pack, offset, length)
+                in document["locations"].items()}
+
+    @staticmethod
+    def _pack_digests(store):
+        """The digest of every entry in every pack, in file order."""
+        decoder = json.JSONDecoder()
+        digests = []
+        for path in sorted(store.packs_directory.glob("*.pack")):
+            text, position = path.read_text("utf-8"), 0
+            while position < len(text):
+                document, position = decoder.raw_decode(text, position)
+                digests.append(document["digest"])
+        return digests
+
+    def _referenced_packs(self, store):
+        return {pack for wave in store.waves()
+                for pack, _, _ in self._located(store, wave).values()}
+
     def test_unchanged_cells_stored_once_per_digest(self, world, tmp_path):
-        """The storage analogue of delta collection: CAS entries number
+        """The storage analogue of delta collection: pack entries number
         distinct digests (snapshot cells + churned generations), not
-        waves x cells — and every one is referenced."""
+        waves x cells — one pack per wave, and every entry referenced."""
         campaign = self._run(world, tmp_path)
         outcomes = campaign.run()
         store = campaign.store
         total = outcomes[0].delta.total_q12 + outcomes[0].delta.total_q3
         churned = sum(o.fresh_q12 + o.fresh_q3 for o in outcomes[1:])
-        cas_files = {p.stem for p in store.cells_directory.glob("*.json")}
-        assert len(cas_files) <= total + churned
-        assert len(cas_files) < len(outcomes) * total, (
-            "CAS stored cells once per wave — no cross-wave sharing")
-        assert cas_files == store.referenced_digests()
+        stored = self._pack_digests(store)
+        assert len(stored) == len(set(stored))
+        assert len(stored) <= total + churned
+        assert len(stored) < len(outcomes) * total, (
+            "packs stored cells once per wave — no cross-wave sharing")
+        assert set(stored) == {digest for wave in store.waves()
+                               for digest in self._located(store, wave)}
+        assert len(list(store.packs_directory.glob("*.pack"))) == len(
+            outcomes)
 
     @pytest.mark.parametrize("resume", (False, True),
                              ids=("published", "loaded"))
     def test_a_wave_probes_only_digests_its_prior_lacked(
             self, world, tmp_path, monkeypatch, resume):
-        """A delta wave checks the disk only for digests the prior wave
-        neither published nor loaded — O(churn) probes."""
+        """A delta wave writes entries only for digests no earlier wave
+        of the run published or loaded — O(churn) entries, located
+        through the manifests without a probe of the disk per digest."""
         if resume:
             # Waves 0-1 stay stored: they load, and wave 2 saves.
             stored = self._run(world, tmp_path)
             stored.run()
             stored.store.wave_path(2).unlink()
-        # One list per save_wave call, after one for the loads' reads.
-        probes: list[list[str]] = [[]]
-        cell_path, save_wave = PanelStore.cell_path, PanelStore.save_wave
+        # One list per save_wave call.
+        written: list[list[str]] = []
+        document, save_wave = PanelStore._cell_document, PanelStore.save_wave
 
-        def probing(store, digest):
-            probes[-1].append(digest)
-            return cell_path(store, digest)
+        def writing(store, digest, payload):
+            written[-1].append(digest)
+            return document(store, digest, payload)
 
         def saving(store, *args, **kwargs):
-            probes.append([])
+            written.append([])
             return save_wave(store, *args, **kwargs)
 
-        monkeypatch.setattr(PanelStore, "cell_path", probing)
+        monkeypatch.setattr(PanelStore, "_cell_document", writing)
         monkeypatch.setattr(PanelStore, "save_wave", saving)
         outcomes = self._run(world, tmp_path, resume=resume).run()
         saved = [o for o in outcomes if not o.restored_from_store]
         assert [o.wave for o in saved] == ([2] if resume else [0, 1, 2])
-        assert len(probes) == len(saved) + 1
-        for outcome, probed in zip(saved, probes[1:]):
+        assert len(written) == len(saved)
+        for outcome, digests in zip(saved, written):
             wave = set(outcome.digests.q12.values()) | set(
                 outcome.digests.q3.values())
-            prior = set() if outcome.wave == 0 else set(
-                outcomes[outcome.wave - 1].digests.q12.values()) | set(
-                outcomes[outcome.wave - 1].digests.q3.values())
-            assert set(probed) == wave - prior
-        assert 0 < len(probes[-1]) < saved[-1].digests.total_cells
+            earlier = {digest for prior in outcomes[:outcome.wave]
+                       for digest in (*prior.digests.q12.values(),
+                                      *prior.digests.q3.values())}
+            assert sorted(digests) == sorted(wave - earlier)
+        assert 0 < len(written[-1]) < saved[-1].digests.total_cells
 
     def test_sweep_reclaims_only_orphans(self, world, tmp_path):
         campaign = self._run(world, tmp_path)
@@ -291,10 +323,10 @@ class TestPanelStoreCAS:
         store = campaign.store
         # Nothing referenced may be reclaimed...
         assert store.sweep_unreferenced_cells() == []
-        # ...while an orphan (e.g. a crash between CAS publish and the
-        # manifest write) is.
-        orphan = "f" * 64
-        store.cell_path(orphan).write_text("{}", encoding="utf-8")
+        # ...while an orphan (e.g. a crash between the pack publish and
+        # the manifest write) is.
+        orphan = "f" * 64 + ".pack"
+        store.pack_path(orphan).write_text("{}", encoding="utf-8")
         assert store.sweep_unreferenced_cells() == [orphan]
 
     def test_sweep_is_safe_under_resume(self, world, tmp_path,
@@ -319,29 +351,29 @@ class TestPanelStoreCAS:
 
     def test_crash_orphans_reclaimed_by_end_of_run_sweep(
             self, world, tmp_path):
-        """A crash between publishing a wave's CAS entries and its
-        manifest leaves orphaned cell files; the next completed run's
-        end-of-panel sweep reclaims them (and a healthy store sweeps
-        nothing — CAS files and references coincide exactly)."""
+        """A crash between publishing a wave's pack and its manifest
+        leaves an orphaned pack; the next completed run's end-of-panel
+        sweep reclaims it (and a healthy store sweeps nothing — packs
+        on disk and packs referenced coincide exactly)."""
         campaign = self._run(world, tmp_path, horizons=(1,))
         campaign.run()
         store = campaign.store
-        assert ({p.stem for p in store.cells_directory.glob("*.json")}
-                == store.referenced_digests())
-        # Simulate the crash: orphan CAS entries with no manifest.
-        orphans = {"a" * 64, "b" * 64}
-        for digest in orphans:
-            store.cell_path(digest).write_text("{}", encoding="utf-8")
+        packs = {p.name for p in store.packs_directory.glob("*.pack")}
+        assert packs == self._referenced_packs(store)
+        # Simulate the crash: orphan packs with no manifest.
+        orphans = {"a" * 64 + ".pack", "b" * 64 + ".pack"}
+        for name in orphans:
+            store.pack_path(name).write_text("{}", encoding="utf-8")
         rerun = self._run(world, tmp_path, horizons=(1,), resume=True)
         rerun.run()
-        remaining = {p.stem for p in store.cells_directory.glob("*.json")}
-        assert remaining == store.referenced_digests()
+        remaining = {p.name for p in store.packs_directory.glob("*.pack")}
+        assert remaining == self._referenced_packs(store)
         assert not (orphans & remaining)
 
     def test_different_horizons_use_disjoint_panel_directories(
             self, world, tmp_path):
         """Horizons feed the panel fingerprint, so panels at different
-        horizons can never share (or sweep) each other's CAS."""
+        horizons can never share (or sweep) each other's packs."""
         one = self._run(world, tmp_path, horizons=(1,))
         two = self._run(world, tmp_path, horizons=(1, 2))
         assert one.fingerprint != two.fingerprint
@@ -350,67 +382,184 @@ class TestPanelStoreCAS:
 
     def test_missing_cas_entry_makes_the_wave_a_miss(self, world,
                                                      tmp_path):
-        campaign = self._run(world, tmp_path, horizons=(1,))
+        """A missing pack makes exactly the waves that locate entries in
+        it a miss; a resumed panel recomputes them and heals the
+        store."""
+        campaign = self._run(world, tmp_path)
         campaign.run()
         store = campaign.store
-        victim = next(iter(store.referenced_digests()))
-        store.cell_path(victim).unlink()
+        victim = self._located(store, 1)[
+            next(iter(set(self._located(store, 1))
+                      - set(self._located(store, 0))))][0]
+        store.pack_path(victim).unlink()
+        reader = PanelStore(store.directory, store.fingerprint)
         affected = [wave for wave in store.waves()
-                    if store.load_wave(wave) is None]
-        assert affected, "some wave referenced the deleted digest"
-        # A resumed panel recomputes the damaged wave(s) and heals the
-        # store, byte-for-byte.
-        healed = self._run(world, tmp_path, horizons=(1,), resume=True)
-        healed.run()
-        assert all(store.load_wave(wave) is not None
+                    if reader.load_wave(wave) is None]
+        assert affected == [wave for wave in store.waves()
+                            if victim in {pack for pack, _, _ in
+                                          self._located(store, wave).values()}]
+        assert 0 not in affected
+        self._run(world, tmp_path, resume=True).run()
+        assert all(reader.load_wave(wave) is not None
                    for wave in store.waves())
+
+    @pytest.mark.parametrize("damage", ("flip", "truncate"))
+    def test_damaged_entry_misses_only_its_waves_and_heals(
+            self, world, tmp_path, monkeypatch, damage):
+        """A flipped byte or a truncated tail inside one entry makes only
+        the waves that reference that entry miss; the resumed panel
+        recomputes the first of them (whose republished pack restores
+        the entry), and the next resume loads every wave with no
+        re-query."""
+        campaign = self._run(world, tmp_path)
+        reference = [canonical_logbook_bytes(o.collection, o.q3)
+                     for o in campaign.run()]
+        store = campaign.store
+        located = self._located(store, 1)
+        pack = self._located(store, 1)[
+            next(iter(set(located) - set(self._located(store, 0))))][0]
+        # The pack's last entry: the tail a torn write would cut.
+        victim, (_, offset, length) = max(
+            ((digest, location) for digest, location in located.items()
+             if location[0] == pack), key=lambda item: item[1][1])
+        path = store.pack_path(pack)
+        data = bytearray(path.read_bytes())
+        if damage == "flip":
+            data[offset + length // 2] ^= 0x01
+        else:
+            del data[offset + length - 5:]
+        path.write_bytes(bytes(data))
+
+        referencing = [wave for wave in store.waves()
+                       if victim in self._located(store, wave)]
+        assert referencing and 0 not in referencing
+        reader = PanelStore(store.directory, store.fingerprint)
+        assert [wave for wave in store.waves()
+                if reader.load_wave(wave) is None] == referencing
+        assert reader.cell(victim) is None
+
+        healed = self._run(world, tmp_path, resume=True).run()
+        recomputed = [o.wave for o in healed if not o.restored_from_store]
+        assert recomputed and recomputed[0] == referencing[0]
+        assert set(recomputed) <= set(referencing)
+        assert [canonical_logbook_bytes(o.collection, o.q3)
+                for o in healed] == reference
+
+        def refuse(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("the healed store re-queried a wave")
+
+        monkeypatch.setattr(executor_module, "run_shard", refuse)
+        again = self._run(world, tmp_path, resume=True).run()
+        assert all(o.restored_from_store for o in again)
+        assert PanelStore(store.directory,
+                          store.fingerprint).cell(victim) is not None
 
     def test_tampered_cell_payload_rejected_and_healed(self, world,
                                                        tmp_path):
-        """A corrupted-in-place CAS entry is a miss AND is quarantined,
-        so the recompute's republish actually replaces it — without
-        the unlink, ``_publish_cell``'s exists() skip would leave the
-        damage in place and the wave would re-collect on every resume
-        forever."""
+        """An entry rewritten in place with a tampered payload fails its
+        checksum: a miss, never loaded, and never unlinked — the store
+        forgets the location, and the resumed run's republished pack
+        and manifest heal every wave."""
         campaign = self._run(world, tmp_path, horizons=(1,))
         campaign.run()
         store = campaign.store
-        victim = next(iter(store.referenced_digests()))
-        path = store.cell_path(victim)
-        document = json.loads(path.read_text(encoding="utf-8"))
+        located = self._located(store, 0)
+        victim, (pack, offset, length) = next(iter(located.items()))
+        path = store.pack_path(pack)
+        data = path.read_bytes()
+        document = json.loads(data[offset:offset + length])
         document["payload"]["tampered"] = True
-        path.write_text(json.dumps(document), encoding="utf-8")
-        assert store._load_cell_payload(victim) is None
-        assert not path.exists()  # quarantined, not left to fester
+        path.write_bytes(data[:offset]
+                         + json.dumps(document).encode("utf-8")
+                         + data[offset + length:])
+        assert store.cell(victim) is None
+        assert store.load_wave(0) is None
+        assert path.exists()  # a miss, not a deletion
 
         # The resumed run recomputes the affected wave(s) and heals
         # the store: the entry is republished and every wave loads.
         self._run(world, tmp_path, horizons=(1,), resume=True).run()
-        assert store._load_cell_payload(victim) is not None
-        assert all(store.load_wave(wave) is not None
+        reader = PanelStore(store.directory, store.fingerprint)
+        assert reader.cell(victim) is not None
+        assert all(reader.load_wave(wave) is not None
                    for wave in store.waves())
+
+    def test_entry_serving_the_wrong_cell_is_rewritten(self, world,
+                                                       tmp_path):
+        """An intact entry whose payload is another cell's — manifest/
+        pack skew — makes its waves miss; the recompute writes the
+        digest afresh, the republished manifest points at the good
+        copy, and the end-of-run sweep drops the skewed pack."""
+        from repro.runtime.cache import content_digest
+
+        campaign = self._run(world, tmp_path)
+        campaign.run()
+        store = campaign.store
+        refs = self._manifest(store, 0)["cells"]["q12"]
+        victim = refs[0]
+        other = next(ref for ref in refs if ref[:3] != victim[:3])
+        payload = store.cell(other[-1])
+        skewed = store._cell_document(victim[-1], payload)
+        skewed_pack = "c" * 64 + ".pack"
+        store.pack_path(skewed_pack).write_bytes(skewed)
+        for wave in store.waves():
+            document = self._manifest(store, wave)
+            if victim[-1] not in document["locations"]:
+                continue
+            document["packs"].append(skewed_pack)
+            document["locations"][victim[-1]] = [
+                len(document["packs"]) - 1, 0, len(skewed)]
+            document["index_sha256"] = content_digest(
+                {key: document[key]
+                 for key in ("cells", "packs", "locations")})
+            store.wave_path(wave).write_text(json.dumps(document),
+                                             encoding="utf-8")
+        reader = PanelStore(store.directory, store.fingerprint)
+        assert reader.load_wave(0) is None
+
+        self._run(world, tmp_path, resume=True).run()
+        reader = PanelStore(store.directory, store.fingerprint)
+        assert all(reader.load_wave(wave) is not None
+                   for wave in store.waves())
+        healed = reader.cell(victim[-1])
+        assert (healed["isp_id"], healed["state"], healed["cbg"]) == tuple(
+            victim[:3])
+        assert not store.pack_path(skewed_pack).exists()
 
     def test_rollback_never_unlinks_newer_format_entries(
             self, world, tmp_path):
-        """A CAS entry claiming a *future* format is a plain miss, not
-        quarantine fodder: rolling back a binary must not delete the
-        newer store it cannot read."""
-        campaign = self._run(world, tmp_path, horizons=(1,))
-        campaign.run()
-        store = campaign.store
-        future = store.cell_path("d" * 64)
-        future.write_text(json.dumps({"format": 99, "digest": "d" * 64,
-                                      "payload": {}}), encoding="utf-8")
-        assert store._load_cell_payload("d" * 64) is None
-        assert future.exists()
-        # An older wave document — format 1 embedded the whole wave as
-        # one double-encoded JSON string — is a miss that is kept too.
+        """An entry claiming a *future* format is a plain miss, and no
+        load deletes anything: rolling back a binary must not destroy
+        the newer store it cannot read. Older layouts are misses that
+        are kept too."""
         import hashlib
 
         from repro.runtime.checkpoint import _shard_to_json
 
+        campaign = self._run(world, tmp_path, horizons=(1,))
+        campaign.run()
+        store = campaign.store
         cell_payload = json.dumps(_shard_to_json(store.load_wave(0)[0]),
                                   sort_keys=True, separators=(",", ":"))
+        located = self._located(store, 0)
+        victim, (pack, offset, length) = next(iter(located.items()))
+        path = store.pack_path(pack)
+        data = path.read_bytes()
+        document = json.loads(data[offset:offset + length])
+        document["format"] = 99
+        future = json.dumps(document, sort_keys=True,
+                            separators=(",", ":")).encode("utf-8")
+        path.write_bytes(data[:offset] + future + data[offset + length:])
+        assert PanelStore(store.directory,
+                          store.fingerprint).cell(victim) is None
+        assert store.load_wave(0) is None
+        assert path.exists()
+        # A format-2 per-cell file and an older wave document — format
+        # 1 embedded the whole wave as one double-encoded JSON string —
+        # are misses that neither a load nor the sweep touches.
+        legacy_cell = store.panel_directory / "cells" / f"{victim}.json"
+        legacy_cell.parent.mkdir()
+        legacy_cell.write_text("{}", encoding="utf-8")
         v1_document = json.dumps({
             "format": 1, "fingerprint": store.fingerprint, "wave": 0,
             "horizon_years": 0, "counts": {},
@@ -422,22 +571,26 @@ class TestPanelStoreCAS:
         assert store.load_wave(0) is None
         store.sweep_unreferenced_cells()
         assert store.wave_path(0).read_text("utf-8") == v1_document
+        assert legacy_cell.read_text("utf-8") == "{}"
 
     def test_v2_document_is_not_double_encoded(self, world, tmp_path):
-        """The satellite bugfix: manifests and CAS entries store
-        nested JSON objects, not pre-serialized strings."""
+        """Manifests and pack entries store nested JSON objects, not
+        pre-serialized strings, and one checksum covers a manifest's
+        references and their locations."""
         campaign = self._run(world, tmp_path, horizons=(1,))
         campaign.run()
         store = campaign.store
-        document = json.loads(store.wave_path(0).read_text("utf-8"))
-        assert document["format"] == 2
+        document = self._manifest(store, 0)
+        assert document["format"] == 3
         assert isinstance(document["cells"], dict)
         from repro.runtime.cache import content_digest
 
-        assert document["cells_sha256"] == content_digest(
-            document["cells"])
+        assert document["index_sha256"] == content_digest(
+            {key: document[key] for key in ("cells", "packs", "locations")})
         digest = document["cells"]["q12"][0][-1]
-        cell = json.loads(store.cell_path(digest).read_text("utf-8"))
+        pack, offset, length = self._located(store, 0)[digest]
+        cell = json.loads(store.pack_path(pack).read_bytes()[
+            offset:offset + length])
         assert isinstance(cell["payload"], dict)
         assert cell["payload_sha256"] == content_digest(cell["payload"])
 

@@ -631,6 +631,37 @@ class TestAuditCache:
             assert load(digest) is None
             assert misses.value == before + 1
 
+    def test_flipped_bytes_are_always_a_miss(self, report, tmp_path):
+        """Three seeded byte flips in a real tiny report, 300 times over:
+        every one is a counted miss, never a loaded report (an entry
+        without its checksum loaded 30 of these 300)."""
+        import random
+
+        from repro.obs.metrics import REGISTRY
+
+        cache = AuditCache(tmp_path)
+        digest = audit_digest(report.world.config, None, ("att",))
+        path = cache.put(digest, report)
+        original = path.read_bytes()
+        rng = random.Random(0)
+        misses = REGISTRY.counter("audit_cache_misses_total")
+        before = misses.value
+        with path.open("r+b") as handle:
+            for _ in range(300):
+                offsets = rng.sample(range(len(original)), 3)
+                for offset in offsets:
+                    handle.seek(offset)
+                    handle.write(bytes([original[offset]
+                                        ^ rng.randrange(1, 256)]))
+                handle.flush()
+                assert cache.get(digest) is None
+                for offset in offsets:
+                    handle.seek(offset)
+                    handle.write(original[offset:offset + 1])
+                handle.flush()
+        assert misses.value == before + 300
+        assert cache.get(digest).headline() == report.headline()
+
     def test_environment_wiring(self, monkeypatch, tmp_path):
         from repro.analysis.context import ExperimentContext
         from repro.runtime.cache import cache_dir_from_environment

@@ -281,6 +281,47 @@ class TestPanelJobsAndReader:
                            row_kind="q12", digest=ref[-1])
         assert row["hit"]
 
+    def test_reader_reads_each_index_once(self, service_root, panel_job,
+                                          tmp_path, monkeypatch):
+        """One store and one row cache per panel: the first uncached
+        query reads the manifests and the row packs, later ones read
+        neither."""
+        from repro.analysis.incremental import WaveRowCache
+        from repro.longitudinal.store import PanelStore
+        from repro.service import ServiceReader
+
+        _, state = panel_job
+        panel = state["result"]["panel_fingerprint"]
+        namespace = state["result"]["rows_namespace"]
+        reads = {"manifests": 0, "packs": 0}
+        verified, refresh = PanelStore._verified_manifest, WaveRowCache.refresh
+
+        def counting_manifest(store, wave):
+            reads["manifests"] += 1
+            return verified(store, wave)
+
+        def counting_refresh(cache):
+            reads["packs"] += 1
+            return refresh(cache)
+
+        monkeypatch.setattr(PanelStore, "_verified_manifest",
+                            counting_manifest)
+        monkeypatch.setattr(WaveRowCache, "refresh", counting_refresh)
+        journal = Journal(tmp_path / "journal", service_fingerprint("audit"))
+        try:
+            reader = ServiceReader(journal,
+                                   store_root=service_root / "store")
+            refs = reader.wave_digests(panel, 1)["q12"]
+            assert reads["manifests"] == 1
+            for ref in refs[:5]:
+                assert reader.cell(panel, ref[-1]) is not None
+                assert reader.query({"what": "row", "namespace": namespace,
+                                     "row_kind": "q12", "digest": ref[-1]})
+        finally:
+            journal.close()
+        assert reads == {"manifests": 1 + len(state["result"]["waves"]),
+                         "packs": 1}
+
     def test_misses_and_junk_queries_answer_cleanly(self, client,
                                                     panel_job):
         _, state = panel_job

@@ -82,30 +82,18 @@ class ExperimentContext:
 
     @property
     def report(self) -> AuditReport:
-        """The full audit report (run, or loaded from the cache, on
+        """The full audit report (run, or served from the cache, on
         first use)."""
         if self._report is None:
-            if self.cache_dir is not None:
-                self._report = self._cached_report()
-            else:
-                self._report = run_full_audit(world=self.world)
+            from repro.runtime.executor import RuntimeConfig
+
+            self._report = run_full_audit(
+                world=self._world, scenario=self.scenario,
+                parallel=RuntimeConfig(cache_dir=self.cache_dir))
+            # Analyses compare report and world objects, which must be
+            # one coherent universe.
+            self._world = self._report.world
         return self._report
-
-    def _cached_report(self) -> AuditReport:
-        from repro.core.pipeline import CAF_STUDY_ISP_IDS
-        from repro.runtime.cache import AuditCache, audit_digest
-
-        cache = AuditCache(self.cache_dir)
-        digest = audit_digest(self.scenario, None, CAF_STUDY_ISP_IDS)
-        report = cache.get(digest)
-        if report is None:
-            report = run_full_audit(world=self.world)
-            cache.put(digest, report)
-        else:
-            # Reuse the cached world too: analyses compare report and
-            # world objects, which must be one coherent universe.
-            self._world = report.world
-        return report
 
     @property
     def national(self) -> NationalDataset:

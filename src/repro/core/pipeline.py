@@ -103,47 +103,64 @@ def run_full_audit(
 
     ``parallel`` selects the sharded runtime for the two collection
     campaigns (``max_inflight``, on any backend, interleaves each
-    shard's storefront sessions on an event loop); its ``cache_dir``
-    short-circuits the whole call with a content-addressed hit when
-    the same (scenario, policy, ISP set) audit has already been
-    computed. On an audit miss the world build is still served from
-    the cache's scenario-keyed world store, so e.g. policy sweeps
-    rebuild only the campaigns.
+    shard's storefront sessions on an event loop); with a
+    ``cache_dir``, an audit of the same (scenario, policy, ISP set)
+    reruns only the analyses on its cached campaign. The world comes
+    from the caller, the cache's world store, or a build, and the
+    store keeps it, so policy sweeps and warm hits never rebuild it.
     ``on_progress`` (sharded runs only) fires per completed shard with
     ``(completed, total, shard_result, restored)``.
     ``engine_config`` overrides the retry/pacing policy for both
     campaigns; a non-default one is part of the cache address (see
     :func:`repro.runtime.cache.audit_digest`).
     """
-    cache = digest = None
+    scenario = (world.config if world is not None
+                else scenario or ScenarioConfig())
+    cache = digest = cached = None
     if parallel is not None and parallel.cache_dir is not None:
         from repro.runtime.cache import AuditCache, audit_digest, world_digest
 
         cache = AuditCache(parallel.cache_dir)
         digest = audit_digest(
-            world.config if world is not None else (scenario or ScenarioConfig()),
-            policy, CAF_STUDY_ISP_IDS, use_urban_survey=use_urban_survey,
-            engine_config=engine_config,
-        )
+            scenario, policy, CAF_STUDY_ISP_IDS,
+            use_urban_survey=use_urban_survey, engine_config=engine_config)
         cached = cache.get(digest)
-        if cached is not None:
-            return cached
-    if world is None:
-        scenario = scenario or ScenarioConfig()
-        if cache is None:
-            world = build_world(scenario)
-        else:
-            world_key = world_digest(scenario)
+        world_key = world_digest(scenario)
+        if world is None:
             world = cache.get_world(world_key)
             if world is None:
                 world = build_world(scenario)
                 cache.put_world(world_key, world)
-    if parallel is not None:
+        elif not cache.world_path_for(world_key).exists():
+            cache.put_world(world_key, world)
+    elif world is None:
+        world = build_world(scenario)
+    if cached is not None:
+        from repro.runtime.merge import merge_shard_results
+        from repro.runtime.shards import plan_shards
+
+        collection, q3_collection = merge_shard_results(
+            world, plan_shards(world, 1, isps=CAF_STUDY_ISP_IDS),
+            {0: cached}, policy=policy, isps=CAF_STUDY_ISP_IDS)
+    elif parallel is not None:
         from repro.runtime.executor import execute_campaign
+
+        shards = []
+
+        def gather(done, total, result, restored):
+            shards.append(result)
+            if on_progress is not None:
+                on_progress(done, total, result, restored)
 
         collection, q3_collection = execute_campaign(
             world, parallel, policy=policy, isps=CAF_STUDY_ISP_IDS,
-            engine_config=engine_config, on_progress=on_progress)
+            engine_config=engine_config,
+            on_progress=gather if cache is not None else on_progress)
+        if cache is not None:
+            from repro.runtime.merge import campaign_shard
+
+            cache.put(digest, campaign_shard(world, shards,
+                                             isps=CAF_STUDY_ISP_IDS))
     else:
         campaign = CollectionCampaign(world, policy=policy,
                                       engine_config=engine_config)
@@ -155,7 +172,7 @@ def run_full_audit(
     audit = AuditDataset(
         collection.log, collection.cbg_totals, world=world, standard=standard
     )
-    report = AuditReport(
+    return AuditReport(
         world=world,
         collection=collection,
         audit=audit,
@@ -164,6 +181,3 @@ def run_full_audit(
         q3_collection=q3_collection,
         monopoly=analyze_q3(q3_collection),
     )
-    if cache is not None and digest is not None:
-        cache.put(digest, report)
-    return report

@@ -2,11 +2,12 @@
 
 Twenty-odd benchmark and example scripts each call
 ``ExperimentContext.at_scale(...)`` and rebuild the same audit from
-scratch. The cache keys a completed :class:`~repro.core.pipeline
-.AuditReport` by the content digest of everything that determines it —
-the scenario (seed included), the sampling policy, and the ISP set —
-so the second script at a given scale loads the first one's audit
-instead of recomputing it.
+scratch. The cache keys a completed audit by the content digest of
+everything that determines it — the scenario (seed included), the
+sampling policy, and the ISP set — so the second script at a given
+scale loads the first one's campaign instead of recomputing it. The
+entry is the campaign as one checkpoint shard record, so its bytes do
+not depend on how many shards ran it.
 
 The *world* is cached separately, under the digest of the scenario
 alone (:func:`world_digest`, entries in a ``worlds/`` subdirectory).
@@ -17,11 +18,12 @@ which is the expensive half of a small audit.
 The cache is size-bounded: give the constructor ``max_bytes`` or set
 ``REPRO_CACHE_MAX_BYTES`` and, after each store, the least-recently-
 *used* entries (hits refresh an entry's clock) are evicted until the
-directory fits. Entries are stored as ``<digest>.pkl`` (the pickle,
-then the SHA-256 that load checks first) plus a ``<digest>.json``
-sidecar with headline numbers for human inspection. Pickle implies the
-usual trust caveat: only point ``cache_dir`` (or ``REPRO_CACHE_DIR``)
-at directories you write yourself.
+directory fits. Every entry verifies itself on load: an audit record
+by its ``shard_sha256`` and fingerprint, a world as
+``worlds/<digest>.pkl`` (the pickle, then the SHA-256 that load checks
+first). The world pickle implies the usual trust caveat: only point
+``cache_dir`` (or ``REPRO_CACHE_DIR``) at directories you write
+yourself.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ from repro.core.sampling import SamplingPolicy
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.runtime.atomicio import (atomic_write_stream, atomic_write_text,
                                     sweep_stale_tmp_files)
+from repro.runtime.storebase import read_json_document
 from repro.synth.scenario import ScenarioConfig
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.pipeline import AuditReport
+    from repro.runtime.executor import ShardResult
     from repro.synth.world import World
 
 __all__ = [
@@ -165,11 +168,11 @@ def cache_max_bytes_from_environment() -> int | None:
 
 
 class AuditCache:
-    """A directory of content-addressed audit reports and world builds.
+    """A directory of content-addressed audit campaigns and world builds.
 
     ``max_bytes`` (default: ``REPRO_CACHE_MAX_BYTES``) bounds the
-    total size of pickles and sidecars; stores evict least-recently-
-    used entries — audit or world, whichever is coldest — to fit.
+    total size of the entries; stores evict least-recently-used
+    entries — audit or world, whichever is coldest — to fit.
     """
 
     def __init__(self, directory: str | Path, max_bytes: int | None = None):
@@ -185,18 +188,13 @@ class AuditCache:
             "audit_cache_evictions_total")
 
     @property
-    def directory(self) -> Path:
-        """The cache's root directory."""
-        return self._directory
-
-    @property
     def max_bytes(self) -> int | None:
         """The eviction bound (None = unbounded)."""
         return self._max_bytes
 
     def path_for(self, digest: str) -> Path:
-        """Path of the pickled report for one digest."""
-        return self._directory / f"{digest}.pkl"
+        """Path of the campaign record for one digest."""
+        return self._directory / f"{digest}.json"
 
     def world_path_for(self, digest: str) -> Path:
         """Path of the pickled world for one digest."""
@@ -205,31 +203,26 @@ class AuditCache:
     # ------------------------------------------------------------------
     # audits
     # ------------------------------------------------------------------
-    def get(self, digest: str) -> "AuditReport | None":
-        """Load the cached report for a digest (None on miss).
+    def get(self, digest: str) -> "ShardResult | None":
+        """Load the campaign stored under a digest (None on miss).
 
-        A corrupted entry (e.g. from a writer killed mid-publish on a
-        filesystem without atomic rename) counts as a miss, not a
-        crash — the caller recomputes and overwrites it.
-        """
-        report = self._load_pickle(self.path_for(digest))
-        (self._metric_hits if report is not None
-         else self._metric_misses).inc()
-        return report
+        A torn, damaged or misnamed entry is a miss, not a crash: the
+        caller recomputes and overwrites it."""
+        from repro.runtime.checkpoint import verified_shard
 
-    def put(self, digest: str, report: "AuditReport") -> Path:
-        """Store a report under its digest; returns the pickle path."""
-        path = self._store_pickle(self.path_for(digest), report)
-        sidecar = {
-            "digest": digest,
-            "scenario": asdict(report.world.config),
-            "headline": report.headline(),
-            "q12_records": len(report.collection.log),
-            "q3_records": len(report.q3_collection.log),
-        }
-        atomic_write_text(
-            path.with_suffix(".json"),
-            json.dumps(sidecar, indent=2, sort_keys=True))
+        path = self.path_for(digest)
+        record = read_json_document(path)
+        return self._counted(path, None if record is None
+                             else verified_shard(record, digest))
+
+    def put(self, digest: str, shard: "ShardResult") -> Path:
+        """Store a whole campaign (one shard, index 0 of 1) under its
+        digest; returns the entry path."""
+        from repro.runtime.checkpoint import shard_document
+
+        path = self.path_for(digest)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(path, shard_document(digest, shard))
         self._evict(keep=path)
         return path
 
@@ -237,21 +230,27 @@ class AuditCache:
         """Audit digests currently stored, sorted."""
         if not self._directory.exists():
             return []
-        return sorted(p.stem for p in self._directory.glob("*.pkl"))
+        return sorted(p.stem for p in self._directory.glob("*.json"))
 
     # ------------------------------------------------------------------
     # worlds
     # ------------------------------------------------------------------
     def get_world(self, digest: str) -> "World | None":
         """Load the cached world for a scenario digest (None on miss)."""
-        world = self._load_pickle(self.world_path_for(digest))
-        (self._metric_hits if world is not None
-         else self._metric_misses).inc()
-        return world
+        path = self.world_path_for(digest)
+        return self._counted(path, self._load_pickle(path))
 
     def put_world(self, digest: str, world: "World") -> Path:
         """Store a world build under its scenario digest."""
-        path = self._store_pickle(self.world_path_for(digest), world)
+        path = self.world_path_for(digest)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # Streamed through the atomic publish, so a multi-megabyte
+        # world is never duplicated in memory and readers never see
+        # half a pickle.
+        with atomic_write_stream(path) as handle:
+            writer = _HashingWriter(handle)
+            pickle.dump(world, writer, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.write(writer.sha256.digest())
         self._evict(keep=path)
         return path
 
@@ -265,7 +264,20 @@ class AuditCache:
     # ------------------------------------------------------------------
     # storage and eviction
     # ------------------------------------------------------------------
-    def _load_pickle(self, path: Path):
+    def _counted(self, path: Path, loaded):
+        """Count one lookup; a hit refreshes the entry's LRU clock."""
+        if loaded is None:
+            self._metric_misses.inc()
+            return None
+        self._metric_hits.inc()
+        try:
+            os.utime(path)
+        except OSError:
+            pass  # evicted meanwhile, or a read-only cache: still a hit
+        return loaded
+
+    @staticmethod
+    def _load_pickle(path: Path):
         try:
             data = path.read_bytes()
         except OSError:
@@ -275,38 +287,16 @@ class AuditCache:
                 or hashlib.sha256(body).digest() != data[-_CHECKSUM_BYTES:]):
             return None
         try:
-            loaded = pickle.loads(body)
+            return pickle.loads(body)
         except _PICKLE_LOAD_ERRORS:
             return None
-        # A hit refreshes the entry's LRU clock. The loaded object is
-        # good regardless, so a refresh that cannot happen — entry
-        # evicted by a concurrent process, or a read-only shared cache
-        # (where eviction never runs either) — is fine to skip.
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        return loaded
-
-    def _store_pickle(self, path: Path, payload) -> Path:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Shared atomic publish (per-process temp name + fsync +
-        # rename): concurrent scripts warming the same cold cache
-        # cannot interleave writes, and readers never see half a
-        # pickle — even across a power failure. Streamed, so a
-        # multi-megabyte world is never duplicated in memory.
-        with atomic_write_stream(path) as handle:
-            writer = _HashingWriter(handle)
-            pickle.dump(payload, writer, protocol=pickle.HIGHEST_PROTOCOL)
-            handle.write(writer.sha256.digest())
-        return path
 
     def _entry_paths(self) -> list[Path]:
-        pickles = list(self._directory.glob("*.pkl"))
+        paths = list(self._directory.glob("*.json"))
         worlds = self._directory / _WORLDS_SUBDIR
         if worlds.exists():
-            pickles.extend(worlds.glob("*.pkl"))
-        return pickles
+            paths.extend(worlds.glob("*.pkl"))
+        return paths
 
     @staticmethod
     def _stat_or_none(path: Path):
@@ -317,29 +307,13 @@ class AuditCache:
         except FileNotFoundError:
             return None
 
-    @classmethod
-    def _entry_bytes(cls, path: Path) -> int:
-        total = 0
-        for part in (path, path.with_suffix(".json")):
-            stat = cls._stat_or_none(part)
-            if stat is not None:
-                total += stat.st_size
-        return total
-
     def total_bytes(self) -> int:
-        """Total size of all entries (pickles plus sidecars)."""
+        """Total size of all entries, audits and worlds."""
         if not self._directory.exists():
             return 0
-        return sum(self._entry_bytes(p) for p in self._entry_paths())
-
-    def _sweep_stale_tmp_files(self) -> None:
-        """Delete orphaned ``*.pkl.tmp-<pid>`` files from crashed puts.
-
-        ``_evict`` only sees ``*.pkl``, so without the sweep a crash
-        leak would never be reclaimed.
-        """
-        for directory in (self._directory, self._directory / _WORLDS_SUBDIR):
-            sweep_stale_tmp_files(directory)
+        return sum(stat.st_size for stat in map(self._stat_or_none,
+                                                 self._entry_paths())
+                   if stat is not None)
 
     def _evict(self, keep: Path) -> None:
         """Drop least-recently-used entries until under ``max_bytes``.
@@ -358,7 +332,10 @@ class AuditCache:
         """
         if self._max_bytes is None:
             return
-        self._sweep_stale_tmp_files()
+        # Tmp files of crashed puts are no entries, so only this sweep
+        # ever reclaims them.
+        for directory in (self._directory, self._directory / _WORLDS_SUBDIR):
+            sweep_stale_tmp_files(directory)
         total = 0
         evictable: list[tuple[float, Path, int]] = []
         for path in self._entry_paths():
@@ -367,18 +344,13 @@ class AuditCache:
                 # Vanished under a concurrent writer's eviction: not
                 # ours to count, and not ours to delete.
                 continue
-            size = stat.st_size
-            sidecar = self._stat_or_none(path.with_suffix(".json"))
-            if sidecar is not None:
-                size += sidecar.st_size
-            total += size
+            total += stat.st_size
             if path != keep:
-                evictable.append((stat.st_mtime, path, size))
+                evictable.append((stat.st_mtime, path, stat.st_size))
         evictable.sort(key=lambda entry: entry[0])
         for _mtime, path, size in evictable:
             if total <= self._max_bytes:
                 break
             path.unlink(missing_ok=True)
-            path.with_suffix(".json").unlink(missing_ok=True)
             total -= size
             self._metric_evictions.inc()

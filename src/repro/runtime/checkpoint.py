@@ -39,13 +39,15 @@ from repro.obs.metrics import REGISTRY as _METRICS
 from repro.runtime.atomicio import atomic_write_text, sweep_stale_tmp_files
 from repro.runtime.cache import canonical_json, content_digest
 from repro.runtime.shards import Q12Cell
-from repro.runtime.storebase import FingerprintNamespacedStore
+from repro.runtime.storebase import (FingerprintNamespacedStore,
+                                     read_json_document)
 from repro.synth.scenario import ScenarioConfig
 
 __all__ = [
     "CheckpointStore",
     "campaign_fingerprint",
     "checkpoint_log",
+    "shard_document",
     "shard_record",
     "verified_shard",
 ]
@@ -204,6 +206,11 @@ def shard_record(fingerprint: str, result: "ShardResult") -> dict:
     return _encode_record(fingerprint, result)[0]
 
 
+def shard_document(fingerprint: str, result: "ShardResult") -> str:
+    """A :func:`shard_record`'s canonical JSON (a checkpoint file)."""
+    return _encode_record(fingerprint, result)[1]
+
+
 def _encode_record(fingerprint: str,
                    result: "ShardResult") -> tuple[dict, str]:
     """A :func:`shard_record` and its canonical JSON, with the shard
@@ -267,7 +274,7 @@ class CheckpointStore(FingerprintNamespacedStore):
         """Persist one completed shard as its self-verifying record."""
         self.campaign_directory.mkdir(parents=True, exist_ok=True)
         path = self.shard_path(result.index)
-        atomic_write_text(path, _encode_record(self._fingerprint, result)[1])
+        atomic_write_text(path, shard_document(self._fingerprint, result))
         sweep_stale_tmp_files(self.campaign_directory)
         _METRICS.counter("checkpoint_shards_saved_total").inc()
         return path
@@ -287,7 +294,7 @@ class CheckpointStore(FingerprintNamespacedStore):
             return {}
         completed: dict[int, "ShardResult"] = {}
         for path in sorted(directory.glob("shard-*.json")):
-            record = self._read_json_document(path)
+            record = read_json_document(path)
             result = (None if record is None
                       else verified_shard(record, self._fingerprint))
             if result is not None:

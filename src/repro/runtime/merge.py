@@ -25,6 +25,7 @@ from repro.runtime.shards import (
     DEFAULT_ISPS,
     Q12Cell,
     ShardSpec,
+    plan_shards,
     q12_cells_with_addresses,
 )
 from repro.synth.world import World
@@ -32,7 +33,7 @@ from repro.synth.world import World
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.executor import ShardResult
 
-__all__ = ["merge_shard_results"]
+__all__ = ["campaign_shard", "merge_shard_results"]
 
 
 def merge_shard_results(
@@ -81,3 +82,18 @@ def merge_shard_results(
         q3.modes.update(outcome.modes)
     q3.analyzed_blocks = tuple(analyzed)
     return result, q3
+
+
+def campaign_shard(world: World, shards,
+                   isps: tuple[str, ...] = DEFAULT_ISPS) -> "ShardResult":
+    """A campaign's completed ``shards`` as shard 0 of 1, cells in
+    ``plan_shards(world, 1)`` order: the same whatever partition ran."""
+    from repro.runtime.executor import ShardResult
+
+    (spec,) = plan_shards(world, 1, isps=isps)
+    q12 = {k: v for shard in shards for k, v in shard.q12_records.items()}
+    q3 = {k: v for shard in shards for k, v in shard.q3_outcomes.items()}
+    return ShardResult(
+        index=0, count=1,
+        q12_records={cell: q12[cell] for cell in spec.q12_cells},
+        q3_outcomes={block: q3[block] for block in spec.q3_blocks})

@@ -30,7 +30,21 @@ import json
 from pathlib import Path
 
 
-__all__ = ["FingerprintNamespacedStore"]
+__all__ = ["FingerprintNamespacedStore", "read_json_document"]
+
+
+def read_json_document(path: Path) -> dict | None:
+    """Parse one JSON document, or ``None`` on any damage.
+
+    ``None`` covers the whole miss family every store treats the same
+    way: missing file, unreadable file, torn/invalid JSON or UTF-8,
+    and valid JSON that is not an object.
+    """
+    try:
+        document = json.loads(path.read_bytes().decode("utf-8"))
+    except (OSError, ValueError):
+        return None
+    return document if isinstance(document, dict) else None
 
 
 class FingerprintNamespacedStore:
@@ -70,20 +84,6 @@ class FingerprintNamespacedStore:
     # shared damage-tolerant reads
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _read_json_document(path: Path) -> dict | None:
-        """Parse one JSON document, or ``None`` on any damage.
-
-        ``None`` covers the whole miss family every store treats the
-        same way: missing file, unreadable file, torn/invalid JSON,
-        and valid JSON that is not an object.
-        """
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        return document if isinstance(document, dict) else None
-
     def _owned_document(self, path: Path) -> dict | None:
         """A parsed document whose ``fingerprint`` field matches ours.
 
@@ -91,7 +91,7 @@ class FingerprintNamespacedStore:
         (another owner's file, or external tampering) — a miss, never
         deleted: the namespace scheme makes it not ours to judge.
         """
-        document = self._read_json_document(path)
+        document = read_json_document(path)
         if document is None:
             return None
         if document.get("fingerprint") != self._fingerprint:

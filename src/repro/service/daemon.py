@@ -592,9 +592,10 @@ class AuditService:
 
         The panel persists into the service's ``store_dir`` (cell packs
         + disk-backed analysis rows), which is exactly what the read
-        API serves from — running a panel *warms the reader*. Each
-        wave's changed cells are dealt onto the spec's ``shards``, run
-        serially like a campaign job's.
+        API serves from — running a panel *warms the reader*; after
+        the last wave the row packs holding no live wave's digest are
+        swept. Each wave's changed cells are dealt onto the spec's
+        ``shards``, run serially like a campaign job's.
         """
         from repro.analysis.incremental import (
             row_cache_for,
@@ -612,10 +613,13 @@ class AuditService:
             store_dir=store_dir, resume=store_dir is not None, **inputs)
         rows = row_cache_for(campaign, directory=store_dir)
         sealed = []
+        live_digests: set[str] = set()
         for outcome in campaign.waves():
             self._record({"kind": "wave-planned", "job": job_id,
                           "wave": outcome.wave,
                           "horizon_years": outcome.horizon_years})
+            live_digests.update(outcome.digests.q12.values())
+            live_digests.update(outcome.digests.q3.values())
             analysis = wave_analysis(outcome, cache=rows)
             self._record({
                 "kind": "wave-sealed", "job": job_id,
@@ -626,6 +630,8 @@ class AuditService:
                 "restored": outcome.restored_from_store,
             })
             sealed.append(outcome.wave)
+        if store_dir is not None:
+            rows.sweep_unreferenced(live_digests)
         self._record({"kind": "swept", "job": job_id,
                       "panel_fingerprint": campaign.fingerprint})
         return {"panel_fingerprint": campaign.fingerprint,

@@ -72,7 +72,7 @@ class TestCommands:
         first = capsys.readouterr().out
         # Checkpoints are namespaced per campaign fingerprint.
         assert list((tmp_path / "ckpt").glob("*/shard-*.json"))
-        assert list((tmp_path / "cache").glob("*.pkl"))
+        assert list((tmp_path / "cache").glob("*.json"))
         # Second run is a cache hit with identical output: it builds
         # no world.
         import repro.core.pipeline as pipeline_module

@@ -33,6 +33,7 @@ from repro.runtime import (
 )
 from repro.runtime.checkpoint import _shard_to_json
 from repro.runtime.shards import ShardSpec
+from repro.synth.scenario import ScenarioConfig
 
 # A deliberately small slice of the campaign for the tests that rerun
 # it several times (resume, process backend).
@@ -537,6 +538,9 @@ class TestCheckpointResume:
         store.save_shard(run_shard(world.config, specs[1], world=world))
         store.shard_path(1).write_text("{corrupted", encoding="utf-8")
         assert set(store.load_completed()) == {0}
+        # A byte that is not UTF-8 is damage too, not a crash.
+        store.shard_path(1).write_bytes(b'{"index":"\xff"}')
+        assert set(store.load_completed()) == {0}
 
     def test_checkpoint_roundtrip_exact(self, world, tmp_path):
         specs = plan_shards(world, 2, **SUBSET)
@@ -551,6 +555,22 @@ class TestCheckpointResume:
             assert list(map(record_key, restored.q12_records[cell])) == \
                 list(map(record_key, records))
         assert restored.q3_outcomes.keys() == original.q3_outcomes.keys()
+
+
+STUDY_ISPS = ("att", "centurylink", "frontier", "consolidated")
+
+
+@pytest.fixture(scope="module")
+def campaign(world):
+    """The whole tiny campaign as one shard: what an audit entry holds."""
+    return run_shard(world.config, plan_shards(world, 1)[0], world=world)
+
+
+@pytest.fixture(scope="module")
+def subset_shard(world):
+    """A small one-shard campaign, for tests that store many entries."""
+    return run_shard(world.config, plan_shards(world, 1, **SUBSET)[0],
+                     world=world)
 
 
 class TestAuditCache:
@@ -591,27 +611,62 @@ class TestAuditCache:
         second = run_full_audit(scenario=world.config, parallel=config)
         assert second.headline() == report.headline()
 
-    def test_context_uses_cache(self, tmp_path, world, report):
+    def test_context_uses_cache(self, tmp_path, world, report, campaign,
+                                monkeypatch):
         from repro.analysis.context import ExperimentContext
 
         cache = AuditCache(tmp_path)
-        digest = audit_digest(world.config, None,
-                              ("att", "centurylink", "frontier",
-                               "consolidated"))
-        cache.put(digest, report)
+        cache.put(audit_digest(world.config, None, STUDY_ISPS), campaign)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cache miss: campaign recomputed")
+
+        monkeypatch.setattr(executor_module, "execute_campaign", forbidden)
         context = ExperimentContext.at_scale("tiny",
                                              cache_dir=str(tmp_path))
-        assert context.report.headline() == report.headline()
-        # The cached world rides along so report and world agree.
+        assert context.report.summary_lines() == report.summary_lines()
+        # The report's world is adopted so report and world agree.
         assert context.world is context.report.world
 
-    def test_entries_and_sidecar(self, report, tmp_path):
+    def test_entries_and_sidecar(self, campaign, world, tmp_path):
+        """An audit entry is one shard record and nothing beside it."""
         cache = AuditCache(tmp_path)
-        digest = audit_digest(report.world.config, None, ("att",))
-        path = cache.put(digest, report)
+        digest = audit_digest(world.config, None, ("att",))
+        path = cache.put(digest, campaign)
         assert cache.entries() == [digest]
-        assert path.with_suffix(".json").exists()
+        assert path == cache.path_for(digest)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
         assert cache.get("0" * 64) is None
+        restored = cache.get(digest)
+        assert (restored.index, restored.count) == (0, 1)
+        assert _shard_to_json(restored) == _shard_to_json(campaign)
+
+    def test_entry_ignores_the_shard_count(self, world, campaign, tmp_path):
+        """One audit's entry is the same bytes whatever partition ran
+        it, and the bytes a direct put of the campaign writes."""
+        cache = AuditCache(tmp_path / "direct")
+        digest = audit_digest(world.config, None, STUDY_ISPS)
+        expected = cache.put(digest, campaign).read_bytes()
+        for shards in (1, 8):
+            directory = tmp_path / f"shards-{shards}"
+            run_full_audit(world=world, parallel=RuntimeConfig(
+                shards=shards, backend="serial", cache_dir=str(directory)))
+            entry = AuditCache(directory).path_for(digest)
+            assert entry.read_bytes() == expected
+
+    def test_hit_counts_once_and_dispatches_nothing(self, world, report,
+                                                    campaign, tmp_path):
+        from repro.obs.metrics import REGISTRY
+
+        AuditCache(tmp_path).put(
+            audit_digest(world.config, None, STUDY_ISPS), campaign)
+        hits = REGISTRY.counter("audit_cache_hits_total")
+        dispatched = REGISTRY.counter("shards_dispatched_total")
+        before = hits.value, dispatched.value
+        warm = run_full_audit(world=world, parallel=RuntimeConfig(
+            shards=4, backend="serial", cache_dir=str(tmp_path)))
+        assert (hits.value, dispatched.value) == (before[0] + 1, before[1])
+        assert warm.summary_lines() == report.summary_lines()
 
     @pytest.mark.parametrize("payload", [
         b"\x80\x05\x8c\x01\xff\x94.",  # UnicodeDecodeError
@@ -631,28 +686,60 @@ class TestAuditCache:
             assert load(digest) is None
             assert misses.value == before + 1
 
-    def test_flipped_bytes_are_always_a_miss(self, report, tmp_path):
-        """Three seeded byte flips in a real tiny report, 300 times over:
-        every one is a counted miss, never a loaded report (an entry
-        without its checksum loaded 30 of these 300)."""
+    @pytest.mark.parametrize("damage", ["truncated", "other digest",
+                                        "reindexed", "not an object"])
+    def test_damaged_record_is_a_miss(self, damage, subset_shard, tmp_path):
+        import json
+
+        from repro.obs.metrics import REGISTRY
+
+        cache = AuditCache(tmp_path)
+        digest, other = "ab" * 32, "cd" * 32
+        path = cache.put(digest, subset_shard)
+        text = path.read_text(encoding="utf-8")
+        if damage == "truncated":
+            path.write_text(text[:len(text) // 2], encoding="utf-8")
+        elif damage == "other digest":
+            cache.put(other, subset_shard).replace(path)
+        elif damage == "reindexed":
+            record = json.loads(text)
+            record["index"] = 1
+            path.write_text(json.dumps(record), encoding="utf-8")
+        else:
+            path.write_text(json.dumps([json.loads(text)]), encoding="utf-8")
+        misses = REGISTRY.counter("audit_cache_misses_total")
+        before = misses.value
+        assert cache.get(digest) is None
+        assert misses.value == before + 1
+
+    def test_flipped_bytes_are_always_a_miss(self, subset_shard, tmp_path):
+        """Three seeded character swaps in a real shard record, 300
+        times over — digit for digit, letter for letter, so the damage
+        mostly stays parseable JSON: every one is a counted miss, never
+        a loaded campaign."""
         import random
 
         from repro.obs.metrics import REGISTRY
 
         cache = AuditCache(tmp_path)
-        digest = audit_digest(report.world.config, None, ("att",))
-        path = cache.put(digest, report)
+        digest = "ab" * 32
+        path = cache.put(digest, subset_shard)
         original = path.read_bytes()
+        alphabets = (b"0123456789", b"abcdefghijklmnopqrstuvwxyz")
+        positions = [offset for offset, byte in enumerate(original)
+                     if any(byte in alphabet for alphabet in alphabets)]
         rng = random.Random(0)
         misses = REGISTRY.counter("audit_cache_misses_total")
         before = misses.value
         with path.open("r+b") as handle:
             for _ in range(300):
-                offsets = rng.sample(range(len(original)), 3)
+                offsets = rng.sample(positions, 3)
                 for offset in offsets:
+                    alphabet = next(a for a in alphabets
+                                    if original[offset] in a)
                     handle.seek(offset)
-                    handle.write(bytes([original[offset]
-                                        ^ rng.randrange(1, 256)]))
+                    handle.write(bytes([rng.choice(
+                        [b for b in alphabet if b != original[offset]])]))
                 handle.flush()
                 assert cache.get(digest) is None
                 for offset in offsets:
@@ -660,7 +747,8 @@ class TestAuditCache:
                     handle.write(original[offset:offset + 1])
                 handle.flush()
         assert misses.value == before + 300
-        assert cache.get(digest).headline() == report.headline()
+        assert (_shard_to_json(cache.get(digest))
+                == _shard_to_json(subset_shard))
 
     def test_environment_wiring(self, monkeypatch, tmp_path):
         from repro.analysis.context import ExperimentContext
@@ -728,40 +816,40 @@ class TestWorldCacheSplit:
 
 
 class TestCacheEviction:
-    def _put(self, cache, report, tag):
-        digest = audit_digest(report.world.config, None, (tag,))
-        cache.put(digest, report)
+    def _put(self, cache, shard, tag):
+        digest = audit_digest(ScenarioConfig.tiny(), None, (tag,))
+        cache.put(digest, shard)
         return digest
 
-    def test_lru_eviction_respects_bound(self, report, tmp_path):
+    def test_lru_eviction_respects_bound(self, subset_shard, tmp_path):
         import time
 
         unbounded = AuditCache(tmp_path)
-        first = self._put(unbounded, report, "att")
+        first = self._put(unbounded, subset_shard, "att")
         entry_bytes = unbounded.total_bytes()
 
         # Bound: room for roughly two entries; the third put evicts
         # the least-recently-used one.
         cache = AuditCache(tmp_path, max_bytes=int(entry_bytes * 2.5))
         time.sleep(0.02)
-        second = self._put(cache, report, "frontier")
+        second = self._put(cache, subset_shard, "frontier")
         time.sleep(0.02)
         assert cache.get(first) is not None  # refresh first's clock
         time.sleep(0.02)
-        third = self._put(cache, report, "centurylink")
+        third = self._put(cache, subset_shard, "centurylink")
         assert cache.total_bytes() <= cache.max_bytes
         # `second` was coldest; `first` survived because the hit
         # refreshed it, and the just-written entry is never evicted.
         assert set(cache.entries()) == {first, third}
         assert cache.get(second) is None
 
-    def test_eviction_spans_worlds_and_audits(self, world, report, tmp_path):
+    def test_eviction_spans_worlds_and_audits(self, world, subset_shard, tmp_path):
         import time
 
         from repro.runtime import world_digest
 
         probe = AuditCache(tmp_path)
-        self._put(probe, report, "att")
+        self._put(probe, subset_shard, "att")
         audit_bytes = probe.total_bytes()
 
         cache = AuditCache(tmp_path, max_bytes=audit_bytes)
@@ -772,22 +860,22 @@ class TestCacheEviction:
         assert cache.entries() == []
         assert len(cache.world_entries()) == 1
 
-    def test_stale_tmp_files_swept_on_eviction(self, report, tmp_path):
+    def test_stale_tmp_files_swept_on_eviction(self, subset_shard, tmp_path):
         import os
         import time
 
         cache = AuditCache(tmp_path, max_bytes=10**9)
-        stale = tmp_path / "deadbeef.pkl.tmp-99999"
+        stale = tmp_path / "deadbeef.json.tmp-99999"
         stale.write_bytes(b"orphaned by a crashed writer")
         os.utime(stale, (time.time() - 7200, time.time() - 7200))
-        fresh = tmp_path / "cafe.pkl.tmp-11111"
+        fresh = tmp_path / "cafe.json.tmp-11111"
         fresh.write_bytes(b"a live writer's in-progress file")
-        self._put(cache, report, "att")
+        self._put(cache, subset_shard, "att")
         assert not stale.exists()  # crash leak reclaimed
         assert fresh.exists()      # live writer untouched
 
     def test_two_writer_eviction_skips_vanished_entries(
-            self, report, tmp_path, monkeypatch):
+            self, subset_shard, tmp_path, monkeypatch):
         """Two processes evicting the same directory: an entry whose
         stat races a second writer (returns ``None``) must be skipped.
         The old code sorted such an entry as mtime 0.0, "evicted" it
@@ -797,29 +885,29 @@ class TestCacheEviction:
         import time
 
         unbounded = AuditCache(tmp_path)
-        oldest = self._put(unbounded, report, "att")
+        oldest = self._put(unbounded, subset_shard, "att")
         entry_bytes = unbounded.total_bytes()
 
         cache = AuditCache(tmp_path, max_bytes=int(entry_bytes * 1.5))
         time.sleep(0.02)
-        recent = self._put(unbounded, report, "frontier")
+        recent = self._put(unbounded, subset_shard, "frontier")
         time.sleep(0.02)
 
         # The second writer races exactly one stat: the first stat of
         # the *recent* entry observes it "vanished".
         real_stat = AuditCache._stat_or_none
-        recent_pkl = cache.path_for(recent)
+        recent_entry = cache.path_for(recent)
         raced = []
 
         def racing_stat(path):
-            if path == recent_pkl and not raced:
+            if path == recent_entry and not raced:
                 raced.append(path)
                 return None
             return real_stat(path)
 
         monkeypatch.setattr(AuditCache, "_stat_or_none",
                             staticmethod(racing_stat))
-        third = self._put(cache, report, "centurylink")
+        third = self._put(cache, subset_shard, "centurylink")
         monkeypatch.undo()
         assert raced, "the race window was never exercised"
 

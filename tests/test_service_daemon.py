@@ -383,6 +383,50 @@ class TestPanelJobShards:
         assert sharded == serial
 
 
+class TestPanelJobSweepsRows:
+    """A panel job bounds the row cache to its live waves' digests."""
+
+    SPEC = {"kind": "panel", "horizons": [1, 2], "model": {"cell_rate": 0.3},
+            **SUBSET}
+
+    def test_rows_of_unreferenced_digests_are_swept(self, tmp_path,
+                                                    tiny_config):
+        from repro.analysis.incremental import WaveRowCache
+
+        store = tmp_path / "store"
+        spec = {**self.SPEC, "scenario": asdict(tiny_config)}
+        with AuditService(tmp_path / "journal", store_dir=store) as running, \
+                ServiceClient(running.address) as connected:
+            first = connected.wait_for_job(
+                connected.submit(spec)["job"], timeout=300.0)
+            assert first["status"] == "completed", first.get("error")
+            namespace = first["result"]["rows_namespace"]
+            # A pack of rows no wave references, as a panel whose
+            # cells have since churned leaves behind.
+            stale = "f" * 64
+            WaveRowCache(namespace, directory=store).put(
+                "q12", stale, {"queried": 1})
+            second = connected.wait_for_job(
+                connected.submit(spec)["job"], timeout=300.0)
+            assert second["status"] == "completed", second.get("error")
+            panel = second["result"]["panel_fingerprint"]
+            live: set[str] = set()
+            for wave in second["result"]["waves"]:
+                refs = connected.query(what="wave-digests", panel=panel,
+                                       wave=wave)["payload"]
+                for kind in ("q12", "q3"):
+                    for ref in refs[kind]:
+                        live.add(ref[-1])
+                        assert connected.query(
+                            what="row", namespace=namespace,
+                            row_kind=kind, digest=ref[-1])["hit"]
+        assert second["result"]["waves"] == [0, 1, 2]
+        rows = WaveRowCache(namespace, directory=store)
+        assert not rows.lookup("q12", stale)[0]
+        # Every pack left holds a row some live wave references.
+        assert rows.sweep_unreferenced(live) == []
+
+
 class TestFollower:
     def test_mid_campaign_subscriber_converges(self, client, service,
                                                campaign_spec, tmp_path):
